@@ -327,11 +327,14 @@ def cmd_predict(args) -> int:
     if not (r["model"] and r["input"] and r["output"]):
         raise ValueError("predict requires --model, --input and --output")
     predictor = load_predictor(r["model"])
-    rows = []
+    run_ids, configs = [], []
     for run_id, cfg in _read_config_lines(r["input"]):
-        rows.append({"run_id": run_id,
-                     "predicted_final_loss": float(predictor.predict_final_loss(cfg))})
-    n = _write_jsonl(r["output"], rows)
+        run_ids.append(run_id)
+        configs.append(cfg)
+    losses = predictor.predict_final_loss_batch(configs)
+    n = _write_jsonl(r["output"], (
+        {"run_id": run_id, "predicted_final_loss": float(loss)}
+        for run_id, loss in zip(run_ids, losses)))
     _write_resolved(r["output"], "predict", r)
     print(f"predicted {n} final losses -> {r['output']}")
     return 0

@@ -18,7 +18,7 @@ from .errors import ScopeError
 from .features import design_column_names, encode_batch, one_hot_matrix
 from .ingest import RunRecord
 from .lawfit import ChinchillaFit, ChinchillaPredictor, Scope
-from .regressor import build_training_rows
+from .regressor import check_schema_compatible, build_training_rows
 from .schema import RunConfig, Schema
 
 
@@ -217,13 +217,6 @@ def fit_gbt_arrays(x: np.ndarray, y: np.ndarray, params: GBTParams = GBTParams()
     return forest
 
 
-def predict_gbt(forest: BoostedForest, schema: Schema, fv) -> float:
-    """Residual prediction for a single feature vector."""
-    x_num, x_cat = encode_batch(schema, [fv])
-    x = one_hot_matrix(schema, x_num, x_cat)
-    return float(forest.predict(x)[0])
-
-
 class GBTPredictor:
     """Boosted-forest analog of the neural predictor: baseline + residual."""
 
@@ -234,20 +227,21 @@ class GBTPredictor:
         self.baselines = dict(baselines)
         self._chinchilla = ChinchillaPredictor(baselines)
 
-    def predict_residual(self, config: RunConfig) -> float:
-        frac = 1.0 if self.schema.include_frac else None
-        return predict_gbt(self.forest, self.schema, self.schema.canonicalize(config, frac=frac))
-
-    def predict_final_loss(self, config: RunConfig) -> float:
-        return self._chinchilla.predict_final_loss(config) + self.predict_residual(config)
-
-    def predict_final_loss_batch(self, configs: list[RunConfig]) -> np.ndarray:
+    def _residuals(self, configs: list[RunConfig]) -> np.ndarray:
+        """One forest pass over every config's design row."""
         frac = 1.0 if self.schema.include_frac else None
         fvs = [self.schema.canonicalize(c, frac=frac) for c in configs]
         x_num, x_cat = encode_batch(self.schema, fvs)
-        res = self.forest.predict(one_hot_matrix(self.schema, x_num, x_cat))
-        base = np.array([self._chinchilla.predict_final_loss(c) for c in configs])
-        return base + res
+        return self.forest.predict(one_hot_matrix(self.schema, x_num, x_cat))
+
+    def predict_residual(self, config: RunConfig) -> float:
+        return float(self._residuals([config])[0])
+
+    def predict_final_loss(self, config: RunConfig) -> float:
+        return float(self.predict_final_loss_batch([config])[0])
+
+    def predict_final_loss_batch(self, configs: list[RunConfig]) -> np.ndarray:
+        return self._chinchilla.predict_final_loss_batch(configs) + self._residuals(configs)
 
     def save(self, path: str) -> None:
         import json
@@ -280,6 +274,7 @@ class GBTPredictor:
         schema = Schema.from_dump(header["schema"])
         if schema.schema_hash() != header["schema_hash"]:
             raise SchemaError("GBT dump schema hash mismatch")
+        check_schema_compatible(schema)
         baselines = {}
         for d in header["baselines"]:
             fit = ChinchillaFit.from_dict(d)

@@ -328,8 +328,20 @@ class ChinchillaPredictor:
         raise ScopeError(f"no baseline fit covers source '{config.source}'")
 
     def predict_final_loss(self, config: RunConfig) -> float:
-        fit = self.fit_for(config)
-        return float(predict_chinchilla(fit, config.model_size_n, config.data_size_d))
+        return float(self.predict_final_loss_batch([config])[0])
+
+    def predict_final_loss_batch(self, configs: list[RunConfig]) -> np.ndarray:
+        """One ``predict_chinchilla`` call per fit scope over its configs."""
+        groups: dict[int, tuple[ChinchillaFit, list[int]]] = {}
+        for i, config in enumerate(configs):
+            fit = self.fit_for(config)
+            groups.setdefault(id(fit), (fit, []))[1].append(i)
+        out = np.empty(len(configs), dtype=np.float64)
+        for fit, idx in groups.values():
+            n = [configs[i].model_size_n for i in idx]
+            d = [configs[i].data_size_d for i in idx]
+            out[idx] = predict_chinchilla(fit, n, d)
+        return out
 
 
 def save_fits(fits, out_dir: str | os.PathLike) -> list[str]:

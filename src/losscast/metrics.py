@@ -77,12 +77,7 @@ def evaluate_split(predictor, records) -> Metrics:
         raise ValueError("empty split")
     configs = [r.config for r in records]
     truth = np.array([r.final_loss for r in records], dtype=np.float64)
-    if hasattr(predictor, "predict_final_loss_batch"):
-        pred = np.asarray(predictor.predict_final_loss_batch(configs), dtype=np.float64)
-    else:
-        pred = np.array(
-            [predictor.predict_final_loss(c) for c in configs], dtype=np.float64
-        )
+    pred = np.asarray(predictor.predict_final_loss_batch(configs), dtype=np.float64)
     return compute_metrics(pred, truth)
 
 

@@ -128,10 +128,72 @@ class TrainPlan:
             raise ValueError("batch_size must be >= 1")
 
 
+def parameter_shapes(schema: Schema, arch: Arch) -> tuple[dict, dict]:
+    """Shapes of every parameter and buffer block of a model over this schema
+    and arch, keyed as in ``RegressorModel.params`` and ``.buffers``."""
+    de, dh, w = arch.d_emb, arch.d_hid, arch.trunk_width
+    fn = sum(1 for s in schema.specs if s.kind == NUMERICAL)
+    shapes: dict[str, tuple] = {}
+    for s in schema.specs:
+        if s.kind == CATEGORICAL:
+            shapes[f"emb_{s.name}"] = (len(s.vocabulary), de)
+    shapes.update(num_w1=(fn, dh), num_b1=(fn, dh), num_w2=(fn, dh, de), num_b2=(fn, de))
+    d_in = len(schema.specs) * de
+    for i in range(arch.trunk_layers):
+        shapes[f"trunk_w{i}"] = (d_in, w)
+        shapes[f"trunk_b{i}"] = (w,)
+        d_in = w
+    shapes.update(head_w=(w, 1), head_b=(1,))
+    buffer_shapes = {k: (fn,) for k in ("num_mean", "num_std", "num_min", "num_max")}
+    return shapes, buffer_shapes
+
+
 class RegressorModel:
     """Parameter container plus hand-written forward/backward."""
 
     def __init__(self, schema: Schema, arch: Arch = Arch(), seed: int = 0):
+        """A freshly initialised model: parameters drawn from ``seed``."""
+        self._set_layout(schema, arch, seed)
+        shapes, buffer_shapes = parameter_shapes(schema, arch)
+        rng = np.random.default_rng(seed)
+        de, dh = arch.d_emb, arch.d_hid
+        p: dict[str, np.ndarray] = {}
+        for s in self.cat_fields:
+            lim = 1.0 / math.sqrt(de)
+            p[f"emb_{s.name}"] = rng.uniform(-lim, lim, size=shapes[f"emb_{s.name}"])
+        p["num_w1"] = rng.uniform(-1.0, 1.0, size=shapes["num_w1"])
+        p["num_b1"] = np.zeros(shapes["num_b1"])
+        p["num_w2"] = rng.uniform(-1.0 / math.sqrt(dh), 1.0 / math.sqrt(dh),
+                                  size=shapes["num_w2"])
+        p["num_b2"] = np.zeros(shapes["num_b2"])
+        for i in range(arch.trunk_layers):
+            w_shape = shapes[f"trunk_w{i}"]
+            lim = 1.0 / math.sqrt(w_shape[0])
+            p[f"trunk_w{i}"] = rng.uniform(-lim, lim, size=w_shape)
+            p[f"trunk_b{i}"] = np.zeros(shapes[f"trunk_b{i}"])
+        p["head_w"] = np.zeros(shapes["head_w"])
+        p["head_b"] = np.zeros(shapes["head_b"])
+        self.params = p
+        self.buffers = {
+            "num_mean": np.zeros(buffer_shapes["num_mean"]),
+            "num_std": np.ones(buffer_shapes["num_std"]),
+            "num_min": np.full(buffer_shapes["num_min"], -np.inf),
+            "num_max": np.full(buffer_shapes["num_max"], np.inf),
+        }
+
+    @classmethod
+    def from_arrays(cls, schema: Schema, arch: Arch, seed: int,
+                    params: dict[str, np.ndarray],
+                    buffers: dict[str, np.ndarray]) -> "RegressorModel":
+        """A model over given arrays, with no random draw; the caller checks
+        their keys and shapes against ``parameter_shapes``."""
+        model = cls.__new__(cls)
+        model._set_layout(schema, arch, seed)
+        model.params = params
+        model.buffers = buffers
+        return model
+
+    def _set_layout(self, schema: Schema, arch: Arch, seed: int):
         self.schema = schema
         self.arch = arch
         self.rng_seed = seed
@@ -147,31 +209,6 @@ class RegressorModel:
             else:
                 self.layout.append(("cat", ck))
                 ck += 1
-
-        rng = np.random.default_rng(seed)
-        de, dh, w = arch.d_emb, arch.d_hid, arch.trunk_width
-        fn = len(self.num_fields)
-        p: dict[str, np.ndarray] = {}
-        for s in self.cat_fields:
-            lim = 1.0 / math.sqrt(de)
-            p[f"emb_{s.name}"] = rng.uniform(-lim, lim, size=(len(s.vocabulary), de))
-        p["num_w1"] = rng.uniform(-1.0, 1.0, size=(fn, dh))
-        p["num_b1"] = np.zeros((fn, dh))
-        p["num_w2"] = rng.uniform(-1.0 / math.sqrt(dh), 1.0 / math.sqrt(dh), size=(fn, dh, de))
-        p["num_b2"] = np.zeros((fn, de))
-        d_in = len(schema.specs) * de
-        for i in range(arch.trunk_layers):
-            lim = 1.0 / math.sqrt(d_in)
-            p[f"trunk_w{i}"] = rng.uniform(-lim, lim, size=(d_in, w))
-            p[f"trunk_b{i}"] = np.zeros(w)
-            d_in = w
-        p["head_w"] = np.zeros((w, 1))
-        p["head_b"] = np.zeros(1)
-        self.params = p
-        self.buffers = {
-            "num_mean": np.zeros(fn), "num_std": np.ones(fn),
-            "num_min": np.full(fn, -np.inf), "num_max": np.full(fn, np.inf),
-        }
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -277,10 +314,6 @@ class RegressorModel:
             grads["num_w1"] = (cache["xs"][:, :, None] * dpre1).sum(axis=0)
             grads["num_b1"] = dpre1.sum(axis=0)
         return grads
-
-    def forward(self, fv) -> float:
-        x_num, x_cat = encode_batch(self.schema, [fv])
-        return float(self.forward_batch(x_num, x_cat)[0])
 
     def _check_shapes(self, x_num, x_cat):
         if x_num.shape[1] != len(self.num_fields) or x_cat.shape[1] != len(self.cat_fields):
@@ -537,25 +570,28 @@ class TrainedPredictor:
         self.report = report
         self._chinchilla = ChinchillaPredictor(baselines)
 
+    def _residuals(self, configs: list[RunConfig], fracs: list) -> np.ndarray:
+        """One forward pass over every (config, frac) row."""
+        schema = self.model.schema
+        fvs = [schema.canonicalize(c, frac=f) for c, f in zip(configs, fracs)]
+        x_num, x_cat = encode_batch(schema, fvs)
+        return self.model.forward_batch(x_num, x_cat)
+
     # residual-space queries
     def predict_residual(self, config: RunConfig, frac: float | None = None) -> float:
         if self.target_kind == "curve":
             frac = 1.0 if frac is None else frac
         elif frac is not None:
             raise ValueError("final-loss model takes no frac")
-        fv = self.model.schema.canonicalize(config, frac=frac)
-        return self.model.forward(fv)
+        return float(self._residuals([config], [frac])[0])
 
     def predict_final_loss(self, config: RunConfig) -> float:
-        return self._chinchilla.predict_final_loss(config) + self.predict_residual(config)
+        return float(self.predict_final_loss_batch([config])[0])
 
     def predict_final_loss_batch(self, configs: list[RunConfig]) -> np.ndarray:
         frac = 1.0 if self.target_kind == "curve" else None
-        fvs = [self.model.schema.canonicalize(c, frac=frac) for c in configs]
-        x_num, x_cat = encode_batch(self.model.schema, fvs)
-        res = self.model.forward_batch(x_num, x_cat)
-        base = np.array([self._chinchilla.predict_final_loss(c) for c in configs])
-        return base + res
+        res = self._residuals(configs, [frac] * len(configs))
+        return self._chinchilla.predict_final_loss_batch(configs) + res
 
     def predict_curve(self, config: RunConfig, fracs) -> list[tuple[int, float]]:
         if self.target_kind != "curve":
@@ -563,9 +599,7 @@ class TrainedPredictor:
         fracs = [float(f) for f in fracs]
         if any(not 0.0 < f <= 1.0 for f in fracs):
             raise ValueError("fracs must lie in (0, 1]")
-        fvs = [self.model.schema.canonicalize(config, frac=f) for f in fracs]
-        x_num, x_cat = encode_batch(self.model.schema, fvs)
-        res = self.model.forward_batch(x_num, x_cat)
+        res = self._residuals([config] * len(fracs), fracs)
         base = self._chinchilla.predict_final_loss(config)
         return [
             (int(round(f * config.total_steps)), float(base + r))
@@ -616,11 +650,14 @@ class TrainedPredictor:
             schema = Schema.from_dump(manifest["schema"])
             if schema.schema_hash() != manifest["schema_hash"]:
                 raise SchemaError("checkpoint schema hash mismatch")
-            _check_schema_compatible(schema)
+            check_schema_compatible(schema)
             arch = Arch(**manifest["arch"])
-            model = RegressorModel(schema, arch, seed=manifest["rng_seed"])
-            model.params = _read_blocks(zf, "params", manifest["param_keys"], model.params)
-            model.buffers = _read_blocks(zf, "buffers", manifest["buffer_keys"], model.buffers)
+            shapes, buffer_shapes = parameter_shapes(schema, arch)
+            model = RegressorModel.from_arrays(
+                schema, arch, manifest["rng_seed"],
+                params=_read_blocks(zf, "params", manifest["param_keys"], shapes),
+                buffers=_read_blocks(zf, "buffers", manifest["buffer_keys"], buffer_shapes),
+            )
             baselines = {}
             for d in manifest["baselines"]:
                 fit = ChinchillaFit.from_dict(d)
@@ -633,7 +670,7 @@ class TrainedPredictor:
 
 
 def _read_blocks(zf: zipfile.ZipFile, folder: str, keys: list[str],
-                 want: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+                 want: dict[str, tuple]) -> dict[str, np.ndarray]:
     """Arrays under ``folder/`` for exactly the keys and shapes of ``want``."""
     if sorted(keys) != sorted(want):
         raise SchemaError(
@@ -645,26 +682,27 @@ def _read_blocks(zf: zipfile.ZipFile, folder: str, keys: list[str],
             arr = np.load(io.BytesIO(zf.read(f"{folder}/{key}.npy")))
         except KeyError:
             raise SchemaError(f"checkpoint lacks '{folder}/{key}.npy'") from None
-        if arr.shape != want[key].shape:
+        if arr.shape != want[key]:
             raise SchemaError(
                 f"checkpoint {folder} '{key}' has shape {arr.shape}, "
-                f"the model expects {want[key].shape}"
+                f"the model expects {want[key]}"
             )
         out[key] = arr
     return out
 
 
-def _check_schema_compatible(schema: Schema) -> None:
-    """A checkpoint loads only if its field table (names, kinds, scale factors)
-    matches the current one; vocabularies may extend the defaults."""
+def check_schema_compatible(schema: Schema) -> None:
+    """A saved model (checkpoint or GBT dump) loads only if its field table
+    (names, kinds, scale factors) matches the current one; vocabularies may
+    extend the defaults."""
     current = Schema.default(include_frac=schema.include_frac)
     got = [(s.name, s.kind, s.scale_factor) for s in schema.specs]
     want = [(s.name, s.kind, s.scale_factor) for s in current.specs]
     if got != want:
         raise SchemaError(
-            "checkpoint field table does not match this build's schema "
+            "saved field table does not match this build's schema "
             f"(version {schema.version} vs {current.version})"
         )
     for s, cur in zip(schema.specs, current.specs):
         if s.kind == CATEGORICAL and tuple(s.vocabulary[: len(cur.vocabulary)]) != cur.vocabulary:
-            raise SchemaError(f"checkpoint vocabulary for '{s.name}' conflicts with this build")
+            raise SchemaError(f"saved vocabulary for '{s.name}' conflicts with this build")

@@ -2,11 +2,12 @@
 quadratic refinement of the (learning rate, batch size) optimum in log space.
 
 The sweep enumerates a cross-product grid of candidate values, predicts the
-final loss for every valid derived configuration, and sorts ascending. The
-near-optimal points (within 1% of the minimum) then feed a least-squares
-quadratic in (log lr, log bs); if the quadratic is positive definite its
-analytic vertex is the refined optimum, re-queried from the predictor and
-kept only when it does not regress past 1% of the grid minimum.
+final loss for every valid derived configuration in one batch call, and sorts
+ascending. The near-optimal points (within 1% of the minimum) then feed a
+least-squares quadratic in (log lr, log bs); if the quadratic is positive
+definite and its analytic vertex lies inside the swept box, the vertex is the
+refined optimum, re-queried from the predictor and kept only when it does not
+regress past 1% of the grid minimum.
 """
 
 from __future__ import annotations
@@ -107,20 +108,41 @@ def _derive_config(base: RunConfig, assignment: dict) -> RunConfig:
 
 
 def sweep(predictor, grid: SweepGrid) -> SweepResult:
-    """Exhaustively evaluate the grid; invalid points are recorded and skipped."""
-    entries, skipped = [], []
+    """Exhaustively evaluate the grid in one batch prediction; invalid points
+    are recorded and skipped."""
+    derived, skipped = [], []
     for i, assignment in grid.points():
         try:
-            cfg = _derive_config(grid.base_config, assignment)
-            loss = float(predictor.predict_final_loss(cfg))
+            derived.append((i, _derive_config(grid.base_config, assignment)))
         except (SchemaError, ValueError) as exc:
             skipped.append((i, str(exc)))
-            continue
-        entries.append((cfg, loss, i))
+    losses = _predict_points(predictor, derived, skipped) if derived else []
+    entries = [(cfg, loss, i) for (i, cfg), loss in zip(derived, losses)
+               if loss is not None]
     if not entries:
         raise SweepError(f"all {grid.size()} grid points invalid")
     entries.sort(key=lambda e: (e[1], e[2]))
     return SweepResult(entries=entries, skipped=skipped, grid=grid)
+
+
+def _predict_points(predictor, derived: list, skipped: list) -> list:
+    """Predicted loss per (grid_index, config), in one batch call. Should the
+    predictor reject the batch, the points are scored one at a time so that
+    only the rejected ones are recorded in ``skipped`` (None in the result)."""
+    try:
+        return [float(v) for v in predictor.predict_final_loss_batch(
+            [cfg for _, cfg in derived])]
+    except (SchemaError, ValueError):
+        pass
+    losses = []
+    for i, cfg in derived:
+        try:
+            losses.append(float(predictor.predict_final_loss_batch([cfg])[0]))
+        except (SchemaError, ValueError) as exc:
+            skipped.append((i, str(exc)))
+            losses.append(None)
+    skipped.sort(key=lambda s: s[0])
+    return losses
 
 
 @dataclass
@@ -136,8 +158,9 @@ def refine_optimum(surface, near_frac: float = NEAR_OPT_FRAC) -> RefinedPoint:
 
     Fits loss ~ quadratic in (log lr, log bs) on points with
     loss <= (1 + near_frac) * min and returns the analytic vertex when the
-    quadratic is positive definite; otherwise falls back to the best sample,
-    flagged with the reason.
+    quadratic is positive definite and the vertex lies inside the bounding
+    box of all samples; otherwise falls back to the best sample, flagged with
+    the reason.
     """
     pts = [(float(lr), float(bs), float(loss)) for lr, bs, loss in surface]
     if not pts:
@@ -163,6 +186,12 @@ def refine_optimum(surface, near_frac: float = NEAR_OPT_FRAC) -> RefinedPoint:
         return RefinedPoint(best[0], best[1], True, "quadratic not positive definite")
     vx = (-2.0 * c5 * c1 + c4 * c2) / det
     vy = (-2.0 * c3 * c2 + c4 * c1) / det
+    # beyond the samples the quadratic is extrapolation, and a predictor flat
+    # there (trees, input-clipped MLPs) cannot refute it
+    log_lr = np.log([p[0] for p in pts])
+    log_bs = np.log([p[1] for p in pts])
+    if not (log_lr.min() <= vx <= log_lr.max() and log_bs.min() <= vy <= log_bs.max()):
+        return RefinedPoint(best[0], best[1], True, "vertex outside the swept box")
     return RefinedPoint(float(np.exp(vx)), float(np.exp(vy)), False)
 
 
@@ -251,7 +280,7 @@ def recommend(
             cand = _derive_config(
                 best_cfg, {"peak_lr": ref.lr, "batch_size": ref.bs}
             )
-            cand_loss = float(predictor.predict_final_loss(cand))
+            cand_loss = float(predictor.predict_final_loss_batch([cand])[0])
             if cand_loss <= (1.0 + REFINE_SAFETY_FRAC) * best_loss:
                 refined_cfg, refined_loss = cand, cand_loss
             else:

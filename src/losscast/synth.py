@@ -320,6 +320,10 @@ class OraclePredictor:
     def predict_final_loss(self, config: RunConfig) -> float:
         return oracle_loss(self.params, config)
 
+    def predict_final_loss_batch(self, configs: list[RunConfig]) -> np.ndarray:
+        # a plain loop over the closed form: this is the reference
+        return np.array([oracle_loss(self.params, c) for c in configs], dtype=np.float64)
+
     def predict_curve(self, config: RunConfig, fracs):
         losses = oracle_curve(self.params, config, fracs)
         return [

@@ -4,10 +4,12 @@ import csv
 import json
 import os
 
+import numpy as np
 import pytest
 
 from losscast.cli import load_predictor, main
 from losscast.gbt import GBTPredictor
+from losscast.ingest import config_from_obj
 
 
 def read_jsonl(path):
@@ -183,6 +185,35 @@ def test_neural_training_smoke(pipeline, tmp_path):
                  "--input", str(pipeline["splits"] / "id_val.jsonl"),
                  "--output", str(out)]) == 0
     assert len(read_jsonl(out)) > 0
+
+
+def predict_file_against_per_config(model, queries, out):
+    """`losscast predict` output and per-config predict_final_loss, in order."""
+    assert main(["predict", "--model", str(model), "--input", str(queries),
+                 "--output", str(out)]) == 0
+    got = np.array([p["predicted_final_loss"] for p in read_jsonl(out)])
+    predictor = load_predictor(str(model))
+    want = np.array([predictor.predict_final_loss(config_from_obj(o))
+                     for o in read_jsonl(queries)])
+    return got, want
+
+
+def test_predict_file_matches_per_config_predictions(pipeline, tmp_path):
+    queries = pipeline["splits"] / "id_val.jsonl"
+    for model in (pipeline["model"], pipeline["fits"]):
+        got, want = predict_file_against_per_config(model, queries, tmp_path / "p.jsonl")
+        assert len(got) > 0
+        np.testing.assert_array_equal(got, want)  # GBT and Chinchilla: bitwise
+
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"stage1": {"epochs": 1}, "stage2": {"epochs": 1}}))
+    neural = tmp_path / "model.zip"
+    assert main(["train", "--input", str(pipeline["splits"]),
+                 "--fits", str(pipeline["fits"]), "--output", str(neural),
+                 "--plan", str(plan)]) == 0
+    got, want = predict_file_against_per_config(neural, queries, tmp_path / "n.jsonl")
+    # a one-row and an n-row matmul may round differently
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 def test_sweep_fix_pins_a_field(pipeline, tmp_path):

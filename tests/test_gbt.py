@@ -1,6 +1,8 @@
 """Boosted trees: split search against exhaustive enumeration, prediction
 against an independent traversal, and the textual dump format."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,10 @@ from losscast.gbt import (
     GBTPredictor,
     fit_gbt,
     fit_gbt_arrays,
-    predict_gbt,
 )
 from losscast.ingest import record_from_obj
 from losscast.lawfit import ChinchillaFit, ChinchillaPredictor, Scope
+from losscast.schema import Schema, SchemaError
 from conftest import make_config
 
 
@@ -157,3 +159,20 @@ def test_gbt_predictor_save_load(tmp_path):
     path2 = str(tmp_path / "model2.gbt")
     loaded.save(path2)
     assert open(path, "rb").read() == open(path2, "rb").read()
+
+
+def test_gbt_load_checks_the_field_table(tmp_path):
+    recs, baselines = residual_fixture()
+    predictor = fit_gbt(recs, baselines, GBTParams(rounds=3, max_depth=2))
+    path = tmp_path / "model.gbt"
+    predictor.save(str(path))
+    head, body = path.read_text().split("\n", 1)
+    header = json.loads(head.split(" ", 1)[1])
+    # a field table this build does not know, with a hash that matches it
+    field = next(f for f in header["schema"]["fields"] if f["name"] == "peak_lr")
+    field["scale_factor"] = field["scale_factor"] * 2.0
+    header["schema_hash"] = Schema.from_dump(header["schema"]).schema_hash()
+    bad = tmp_path / "bad.gbt"
+    bad.write_text("#losscast-gbt-1 " + json.dumps(header) + "\n" + body)
+    with pytest.raises(SchemaError):
+        GBTPredictor.load(str(bad))

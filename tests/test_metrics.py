@@ -86,6 +86,9 @@ class _PerConfig:
     def predict_final_loss(self, config):
         return config.peak_lr * 1000.0
 
+    def predict_final_loss_batch(self, configs):
+        return [self.predict_final_loss(c) for c in configs]
+
 
 class _Batched(_PerConfig):
     def predict_final_loss_batch(self, configs):

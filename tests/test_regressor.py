@@ -439,6 +439,34 @@ def test_checkpoint_rejects_missing_or_misshapen_buffers(tmp_path):
         np.testing.assert_array_equal(loaded.model.buffers[k], v)
 
 
+def test_checkpoint_loads_without_a_random_draw(tmp_path, monkeypatch):
+    predictor = train(tiny_splits(), tiny_plan(), fixed_baseline(), arch=TINY)
+    path = str(tmp_path / "m.ckpt")
+    predictor.save(path)
+
+    def wrong_param_shape(manifest, entries):
+        buf = io.BytesIO()
+        np.save(buf, np.zeros((3, 3)))
+        entries["params/trunk_w0.npy"] = buf.getvalue()
+
+    bad = str(tmp_path / "bad.ckpt")
+    rewrite_checkpoint(path, bad, wrong_param_shape)
+
+    def no_init(*args, **kwargs):
+        raise AssertionError("loading must not draw initial parameters")
+
+    monkeypatch.setattr(RegressorModel, "__init__", no_init)
+    with pytest.raises(SchemaError):
+        TrainedPredictor.load(bad)
+    loaded = TrainedPredictor.load(path)
+    assert list(loaded.model.params) == list(predictor.model.params)
+    for k, v in predictor.model.params.items():
+        np.testing.assert_array_equal(loaded.model.params[k], v)
+    configs = [r.config for r in tiny_splits().id_val]
+    np.testing.assert_array_equal(loaded.predict_final_loss_batch(configs),
+                                  predictor.predict_final_loss_batch(configs))
+
+
 def test_final_model_refuses_curve_queries():
     predictor = train(tiny_splits(), tiny_plan(), fixed_baseline(), arch=TINY)
     with pytest.raises(ValueError):

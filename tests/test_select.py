@@ -31,6 +31,9 @@ class QuadraticPredictor:
         y = np.log(config.batch_size / self.bs0)
         return self.floor + self.cxx * x * x + self.cxy * x * y + self.cyy * y * y
 
+    def predict_final_loss_batch(self, configs):
+        return [self.predict_final_loss(c) for c in configs]
+
 
 def lr_bs_grid(**kw):
     return SweepGrid.lr_bs(make_config(), **kw)
@@ -49,6 +52,9 @@ def test_sweep_ties_break_on_grid_index():
     class Flat:
         def predict_final_loss(self, config):
             return 1.0
+
+        def predict_final_loss_batch(self, configs):
+            return [self.predict_final_loss(c) for c in configs]
 
     result = sweep(Flat(), lr_bs_grid(n_lr=3, n_bs=3))
     assert [i for _, _, i in result.entries] == list(range(9))
@@ -110,6 +116,17 @@ def test_flat_surface_falls_back_flagged():
     pts = [(1e-3 * (1 + i), 100.0 + j, 2.0) for i in range(4) for j in range(4)]
     ref = refine_optimum(pts)
     assert ref.fallback and "positive definite" in ref.reason
+
+
+def test_vertex_outside_the_swept_box_falls_back_to_the_grid():
+    # the bowl's vertex sits at lr = 1.0, far above the swept 1e-4..3e-2
+    grid = lr_bs_grid()
+    surface = [(lr, bs, 3.0 + 0.002 * np.log(lr) ** 2 + 0.002 * np.log(bs / 300.0) ** 2)
+               for lr in grid.axes[0][1] for bs in grid.axes[1][1]]
+    ref = refine_optimum(surface)
+    assert ref.fallback and ref.reason == "vertex outside the swept box"
+    best = min(surface, key=lambda p: p[2])
+    assert (ref.lr, ref.bs) == (best[0], best[1])
 
 
 def test_too_few_near_optimal_points_fall_back():
@@ -181,3 +198,55 @@ def test_recommend_summary_is_json_friendly():
     rec = recommend(QuadraticPredictor(), 215.0, 25.0, base_config=make_config())
     text = json.dumps(rec.summary(), sort_keys=True)
     assert "refined" in text and "best_grid" in text
+
+
+class CountingPredictor(QuadraticPredictor):
+    """Counts batch calls; any per-config call is an error."""
+
+    def __init__(self):
+        super().__init__()
+        self.batch_calls = []
+
+    def predict_final_loss(self, config):
+        raise AssertionError("sweeps must predict through the batch method")
+
+    def predict_final_loss_batch(self, configs):
+        self.batch_calls.append(len(configs))
+        return [QuadraticPredictor.predict_final_loss(self, c) for c in configs]
+
+
+def test_sweep_predicts_each_grid_in_one_batch_call():
+    pred = CountingPredictor()
+    grid = SweepGrid(
+        axes=[("peak_lr", [1e-3, -5.0, 2e-3, 4e-3])],  # one point cannot validate
+        base_config=make_config(),
+    )
+    result = sweep(pred, grid)
+    assert pred.batch_calls == [3]
+    assert [i for i, _ in result.skipped] == [1]
+
+
+def test_recommend_predicts_at_most_twice():
+    pred = CountingPredictor()
+    rec = recommend(pred, 215.0, 25.0, base_config=make_config())
+    assert not rec.refine_fallback
+    assert pred.batch_calls == [13 * 9, 1]
+    pred.batch_calls.clear()
+    recommend(pred, 215.0, 25.0, base_config=make_config(),
+              constraints={"batch_size": 128.0})
+    assert pred.batch_calls == [13]
+
+
+def test_points_the_predictor_rejects_are_skipped_in_grid_order():
+    class RejectsOneLr(QuadraticPredictor):
+        def predict_final_loss_batch(self, configs):
+            if any(c.peak_lr == 2e-3 for c in configs):
+                raise ValueError("cannot score lr 2e-3")
+            return super().predict_final_loss_batch(configs)
+
+    grid = SweepGrid(axes=[("peak_lr", [1e-3, 2e-3, -5.0, 4e-3])],
+                     base_config=make_config())
+    result = sweep(RejectsOneLr(), grid)
+    assert [i for i, _ in result.skipped] == [1, 2]
+    assert "cannot score" in result.skipped[0][1]
+    assert sorted(i for _, _, i in result.entries) == [0, 3]
