@@ -2,7 +2,13 @@
 
 The Chinchilla form  l(N, D) = E + A/N^alpha + B/D^beta  is fit to frontier
 points (best run per (N, D)) by minimizing a Huber loss on log predictions,
-with a multi-start Nelder-Mead over (log E, log A, log B, alpha, beta).
+with a multi-start Nelder-Mead over (log E, log A, log B, alpha, beta). The
+50 starts advance in lockstep on one (starts, 6, 5) simplex array: each
+iteration evaluates the batched objective once over every active start's
+candidate points, and each start retires on its own under scipy's stopping
+test. Constants and operation order are scipy's, so every start ends bitwise
+where scipy.optimize.minimize(method="Nelder-Mead") would; scipy serves only
+as the test oracle for it.
 Predictions are evaluated in log space as a log-sum-exp of the three terms.
 Optimal learning rate and batch size follow power laws
   lr*(N, D) = c * N^a * D^b      bs*(D) = d * D^g
@@ -18,7 +24,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import FitError, ScopeError
 from .ingest import RunRecord, nd_key
@@ -169,33 +174,135 @@ def residual_target(p, fit: ChinchillaFit, n, d):
     return p - predict_chinchilla(fit, n, d)
 
 
-def _huber_sum(r: np.ndarray, delta: float) -> float:
-    a = np.abs(r)
-    quad = 0.5 * r * r
-    lin = delta * (a - 0.5 * delta)
-    return float(np.sum(np.where(a <= delta, quad, lin)))
+def _huber_objective(theta, log_n, log_d, log_loss, delta) -> np.ndarray:
+    """Huber loss of the log-space Chinchilla form, one value per row of theta.
 
-
-def _chinchilla_objective(theta, log_n, log_d, log_loss, delta):
-    log_e, log_a, log_b, alpha, beta = theta
+    theta is (m, 5): rows of (log E, log A, log B, alpha, beta). Each row's sum
+    runs over a contiguous row of residuals, so it is the same pairwise sum
+    that a single 1-D evaluation makes.
+    """
+    log_e, log_a, log_b, alpha, beta = (theta[:, k:k + 1] for k in range(5))
     pred = np.logaddexp(
         np.logaddexp(log_e, log_a - alpha * log_n),
         log_b - beta * log_d,
     )
-    return _huber_sum(pred - log_loss, delta)
+    r = pred - log_loss
+    a = np.abs(r)
+    return np.where(a <= delta, 0.5 * r * r, delta * (a - 0.5 * delta)).sum(axis=1)
+
+
+# Nelder-Mead constants and stopping test, as in scipy.optimize.minimize
+# (method="Nelder-Mead", not adaptive) with the options below.
+NM_RHO, NM_CHI, NM_PSI, NM_SIGMA = 1, 2, 0.5, 0.5
+NM_NONZDELT, NM_ZDELT = 0.05, 0.00025
+NM_MAXITER, NM_XATOL, NM_FATOL = 4000, 1e-10, 1e-14
+
+
+def _sort_simplices(sim: np.ndarray, fsim: np.ndarray):
+    """Order each start's vertices by value, as scipy's per-simplex argsort does."""
+    ind = np.argsort(fsim, axis=1)
+    rows = np.arange(len(fsim))[:, None]
+    return sim[rows, ind], fsim[rows, ind]
+
+
+def _nelder_mead_lockstep(f, x0: np.ndarray):
+    """Nelder-Mead from every row of x0 at once, on a (starts, k+1, k) simplex array.
+
+    ``f`` maps (m, k) points to (m,) values. Each iteration evaluates the
+    reflection, expansion and both contractions of every active start in one
+    call, picks each start's branch by mask, shrinks only the starts that need
+    it, and re-sorts each simplex. A start retires on its own when it meets the
+    xatol/fatol test or the iteration cap. Every operation follows scipy's
+    order, so each start's (x, fun) is bitwise what
+    ``scipy.optimize.minimize(f1, x0[i], method="Nelder-Mead", options=
+    {"maxiter": NM_MAXITER, "xatol": NM_XATOL, "fatol": NM_FATOL})`` returns
+    for the one-point objective ``f1``.
+    """
+    n_starts, k = x0.shape
+    sim = np.repeat(x0[:, None, :], k + 1, axis=1)
+    diag = np.arange(k)
+    sim[:, diag + 1, diag] = np.where(x0 != 0, (1 + NM_NONZDELT) * x0, NM_ZDELT)
+    fsim = f(sim.reshape(-1, k)).reshape(n_starts, k + 1)
+    # scipy sorts the initial simplex twice; argsort is not stable, so the
+    # second sort may reorder ties
+    sim, fsim = _sort_simplices(*_sort_simplices(sim, fsim))
+
+    x_out = np.empty((n_starts, k))
+    f_out = np.empty(n_starts)
+    active = np.arange(n_starts)
+    for _ in range(1, NM_MAXITER):
+        done = (
+            (np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= NM_XATOL)
+            & (np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= NM_FATOL)
+        )
+        if done.any():
+            x_out[active[done]] = sim[done, 0]
+            f_out[active[done]] = fsim[done].min(axis=1)
+            keep = ~done
+            active, sim, fsim = active[keep], sim[keep], fsim[keep]
+            if active.size == 0:
+                break
+
+        xbar = np.add.reduce(sim[:, :-1], 1) / k
+        worst = sim[:, -1]
+        # reflection, expansion, outside and inside contraction
+        cand = np.stack([
+            (1 + NM_RHO) * xbar - NM_RHO * worst,
+            (1 + NM_RHO * NM_CHI) * xbar - NM_RHO * NM_CHI * worst,
+            (1 + NM_PSI * NM_RHO) * xbar - NM_PSI * NM_RHO * worst,
+            (1 - NM_PSI) * xbar + NM_PSI * worst,
+        ])
+        fcand = f(cand.reshape(-1, k)).reshape(4, -1)
+        fxr, fxe, fxc, fxcc = fcand
+
+        expand = fxr < fsim[:, 0]
+        contract = ~expand & ~(fxr < fsim[:, -2])
+        outside = contract & (fxr < fsim[:, -1])
+        inside = contract & ~outside
+        pick = np.where(expand & (fxe < fxr), 1, np.where(outside, 2, np.where(inside, 3, 0)))
+        shrink = (outside & ~(fxc <= fxr)) | (inside & ~(fxcc < fsim[:, -1]))
+        shrinking = shrink.any()
+        if shrinking:  # from the simplex before its worst vertex is replaced
+            best = sim[shrink, :1]
+            shrunk = best + NM_SIGMA * (sim[shrink, 1:] - best)
+        rows = np.arange(len(active))
+        sim[:, -1] = cand[pick, rows]
+        fsim[:, -1] = fcand[pick, rows]
+        if shrinking:
+            sim[shrink, 1:] = shrunk
+            fsim[shrink, 1:] = f(shrunk.reshape(-1, k)).reshape(-1, k)
+        sim, fsim = _sort_simplices(sim, fsim)
+
+    x_out[active] = sim[:, 0]
+    f_out[active] = fsim.min(axis=1)
+    return x_out, f_out
+
+
+def _chinchilla_starts(ns, ds, losses) -> np.ndarray:
+    """The start grid, one row per (alpha0, beta0, E fraction) in nested order."""
+    l_min = float(losses.min())
+    starts = []
+    for a0 in ALPHA_STARTS:
+        for b0 in ALPHA_STARTS:
+            for q in E_FRACTION_STARTS:
+                e0 = q * l_min
+                resid = np.maximum(losses - e0, 1e-6)
+                a_coef = max(0.5 * float(np.mean(resid * ns**a0)), 1e-8)
+                b_coef = max(0.5 * float(np.mean(resid * ds**b0)), 1e-8)
+                starts.append([math.log(e0), math.log(a_coef), math.log(b_coef), a0, b0])
+    return np.array(starts)
 
 
 def fit_chinchilla(
     points: list[FrontierPoint],
     scope: Scope | None = None,
     delta: float = HUBER_DELTA,
-    alpha_starts=ALPHA_STARTS,
-    beta_starts=ALPHA_STARTS,
 ) -> ChinchillaFit:
     """Multi-start simplex fit of the Chinchilla form on frontier points.
 
     Requires at least 5 points spanning at least 2 distinct N and 2 distinct D.
-    The returned optimum's objective never exceeds any start's objective.
+    The returned optimum is the first start with the lowest objective, so it
+    never exceeds any start's objective.
     """
     if len(points) < 5:
         raise FitError(f"need at least 5 frontier points, got {len(points)}")
@@ -208,31 +315,15 @@ def fit_chinchilla(
         raise FitError("frontier losses must be positive")
 
     log_n, log_d, log_loss = np.log(ns), np.log(ds), np.log(losses)
-    l_min = float(losses.min())
-
-    best_theta, best_obj = None, math.inf
-    for a0 in alpha_starts:
-        for b0 in beta_starts:
-            for q in E_FRACTION_STARTS:
-                e0 = q * l_min
-                resid = np.maximum(losses - e0, 1e-6)
-                a_coef = max(0.5 * float(np.mean(resid * ns**a0)), 1e-8)
-                b_coef = max(0.5 * float(np.mean(resid * ds**b0)), 1e-8)
-                theta0 = np.array(
-                    [math.log(e0), math.log(a_coef), math.log(b_coef), a0, b0]
-                )
-                res = minimize(
-                    _chinchilla_objective, theta0,
-                    args=(log_n, log_d, log_loss, delta),
-                    method="Nelder-Mead",
-                    options={"maxiter": 4000, "xatol": 1e-10, "fatol": 1e-14},
-                )
-                if res.fun < best_obj:
-                    best_obj, best_theta = float(res.fun), res.x
-
-    if best_theta is None or not math.isfinite(best_obj):
+    xs, funs = _nelder_mead_lockstep(
+        lambda theta: _huber_objective(theta, log_n, log_d, log_loss, delta),
+        _chinchilla_starts(ns, ds, losses),
+    )
+    best = int(np.argmin(np.where(np.isnan(funs), np.inf, funs)))
+    best_obj = float(funs[best])
+    if not math.isfinite(best_obj):
         raise FitError("chinchilla fit failed to converge from any start")
-    log_e, log_a, log_b, alpha, beta = best_theta
+    log_e, log_a, log_b, alpha, beta = xs[best]
     return ChinchillaFit(
         e=math.exp(log_e), a=math.exp(log_a), b=math.exp(log_b),
         alpha=float(alpha), beta=float(beta),

@@ -99,7 +99,6 @@ class TrainPlan:
     epsilon: float = 1e-8
     weight_decay: float = 0.01
     batch_size: int = 480
-    reset_optimizer_state: bool = True
     seed: int = 0
 
     @classmethod
@@ -327,9 +326,6 @@ class RegressorModel:
             if hi >= len(s.vocabulary):
                 raise ValueError(f"categorical index {hi} out of range for '{s.name}'")
 
-    def copy_params(self) -> dict[str, np.ndarray]:
-        return {k: v.copy() for k, v in self.params.items()}
-
 
 # -- optimizer -------------------------------------------------------------------
 
@@ -411,10 +407,9 @@ def build_training_rows(
     against the baseline at the full (N, D).
     """
     fvs, ys = [], []
-    for r in records:
-        if r.final_loss is None:
-            continue
-        base = baseline.predict_final_loss(r.config)
+    records = [r for r in records if r.final_loss is not None]
+    bases = baseline.predict_final_loss_batch([r.config for r in records])
+    for r, base in zip(records, bases):
         if target_kind == "final":
             fvs.append(schema.canonicalize(r.config))
             ys.append(r.final_loss - base)
@@ -548,8 +543,6 @@ def train(
             raise TrainingError(f"trunk block '{k}' changed during stage 1")
 
     if not report.aborted:
-        if not plan.reset_optimizer_state:
-            raise TrainingError("optimizer state carry-over between stages is not supported")
         _run_stage(model, plan.stage2, plan, list(model.params), data, rng, report,
                    "stage2", val)
     return TrainedPredictor(

@@ -1,15 +1,24 @@
 """Scaling-law fitting: the Chinchilla form, frontier power laws, baselines."""
 
+import functools
+import math
+
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
+from losscast import lawfit
 from losscast.errors import FitError, ScopeError
 from losscast.ingest import record_from_obj
 from losscast.lawfit import (
+    HUBER_DELTA,
     ChinchillaFit,
     ChinchillaPredictor,
     FrontierPoint,
     Scope,
+    _chinchilla_starts,
+    _huber_objective,
+    _nelder_mead_lockstep,
     fit_baselines,
     fit_chinchilla,
     fit_power_law,
@@ -120,6 +129,124 @@ def test_fit_needs_enough_spread():
         fit_chinchilla(frontier_from(truth, [100], [10, 25, 50]))  # one N value
     with pytest.raises(FitError):
         fit_chinchilla(frontier_from(truth, [100, 200], [25])[:4])  # under 5 points
+
+
+# -- the lockstep multi-start fit against scipy as the oracle ------------------------
+
+def scalar_objective(theta, log_n, log_d, log_loss, delta):
+    """The Huber-on-log objective at one point, as a plain 1-D evaluation."""
+    log_e, log_a, log_b, alpha, beta = theta
+    pred = np.logaddexp(np.logaddexp(log_e, log_a - alpha * log_n), log_b - beta * log_d)
+    r = pred - log_loss
+    a = np.abs(r)
+    return float(np.sum(np.where(a <= delta, 0.5 * r * r, delta * (a - 0.5 * delta))))
+
+
+def minimal_frontier():
+    truth = cfit(e=1.7, a=6.2, b=1.8, alpha=0.32, beta=0.28)
+    return (frontier_from(truth, [100.0, 300.0], [10.0, 50.0])
+            + frontier_from(truth, [200.0], [25.0]))
+
+
+def grid_frontier():
+    truth = cfit(e=1.5, a=8.0, b=2.5, alpha=0.4, beta=0.3)
+    return frontier_from(truth, [100.0, 200.0, 400.0], [10.0, 25.0, 50.0])
+
+
+def noisy_grid_frontier():
+    pts = frontier_from(cfit(e=1.69, a=6.4, b=1.9, alpha=0.33, beta=0.27),
+                        [100.0, 215.0, 380.0, 450.0], [2.0, 10.0, 60.0])
+    noise = np.random.default_rng(3).normal(0.0, 0.01, size=len(pts))
+    for p, eps in zip(pts, noise):
+        p.best_loss += float(eps)
+    return pts
+
+
+FRONTIERS = {"minimal-5": minimal_frontier, "grid": grid_frontier,
+             "noisy-grid": noisy_grid_frontier}
+
+
+@functools.cache
+def against_scipy(name):
+    """Per start: the lockstep (x, fun) and scipy's Nelder-Mead result."""
+    pts = FRONTIERS[name]()
+    ns = np.array([p.n for p in pts])
+    ds = np.array([p.d for p in pts])
+    losses = np.array([p.best_loss for p in pts])
+    args = (np.log(ns), np.log(ds), np.log(losses), HUBER_DELTA)
+    starts = _chinchilla_starts(ns, ds, losses)
+    xs, funs = _nelder_mead_lockstep(lambda theta: _huber_objective(theta, *args), starts)
+    oracle = [
+        minimize(scalar_objective, x0, args=args, method="Nelder-Mead",
+                 options={"maxiter": 4000, "xatol": 1e-10, "fatol": 1e-14})
+        for x0 in starts
+    ]
+    return {"points": pts, "starts": starts, "xs": xs, "funs": funs, "oracle": oracle}
+
+
+def test_start_grid_is_fifty_starts_in_nested_order():
+    starts = against_scipy("grid")["starts"]
+    assert starts.shape == (50, 5)
+    # alpha0 outermost, then beta0, then the E fraction
+    assert starts[:10, 3].tolist() == [0.1] * 10
+    assert starts[:10, 4].tolist() == [0.1, 0.1, 0.3, 0.3, 0.5, 0.5, 0.7, 0.7, 0.9, 0.9]
+    assert starts[0, 0] < starts[1, 0]  # E fraction 0.5 before 0.9
+
+
+@pytest.mark.parametrize("name", sorted(FRONTIERS))
+def test_lockstep_matches_scipy_nelder_mead_start_by_start(name):
+    case = against_scipy(name)
+    for i, res in enumerate(case["oracle"]):
+        assert np.array_equal(case["xs"][i], res.x), i
+        assert case["funs"][i] == res.fun, i
+
+
+def test_noisy_starts_retire_at_different_iterations():
+    nits = [res.nit for res in against_scipy("noisy-grid")["oracle"]]
+    assert len(set(nits)) > 10
+    assert min(nits) < max(nits) < 4000
+
+
+@pytest.mark.parametrize("name", sorted(FRONTIERS))
+def test_fit_returns_the_first_start_with_the_lowest_objective(name):
+    case = against_scipy(name)
+    best, best_fun = None, math.inf
+    for i, res in enumerate(case["oracle"]):
+        if res.fun < best_fun:
+            best, best_fun = i, res.fun
+    fit = fit_chinchilla(case["points"])
+    x = case["oracle"][best].x
+    assert fit.objective == best_fun
+    assert (fit.e, fit.a, fit.b) == (math.exp(x[0]), math.exp(x[1]), math.exp(x[2]))
+    assert (fit.alpha, fit.beta) == (x[3], x[4])
+
+
+def test_fit_breaks_ties_to_the_first_start_and_skips_nan(monkeypatch):
+    xs = np.arange(250.0).reshape(50, 5) / 1000.0
+    funs = np.full(50, 5.0)
+    funs[0] = np.nan
+    funs[[7, 9]] = 1.0
+    monkeypatch.setattr(lawfit, "_nelder_mead_lockstep", lambda f, x0: (xs, funs))
+    fit = fit_chinchilla(grid_frontier())
+    assert fit.objective == 1.0
+    assert (fit.alpha, fit.beta) == (xs[7, 3], xs[7, 4])
+    funs[:] = np.nan
+    with pytest.raises(FitError):
+        fit_chinchilla(grid_frontier())
+
+
+def test_batched_objective_equals_one_point_evaluations():
+    rng = np.random.default_rng(0)
+    for n_points in (5, 8, 17, 130):
+        log_n = np.log(rng.uniform(50, 1000, n_points))
+        log_d = np.log(rng.uniform(1, 100, n_points))
+        log_loss = np.log(rng.uniform(1.8, 4.0, n_points))
+        theta = np.column_stack([rng.normal(0.5, 0.2, 40), rng.normal(2.0, 1.0, 40),
+                                 rng.normal(1.0, 1.0, 40), rng.uniform(0.0, 1.0, 40),
+                                 rng.uniform(0.0, 1.0, 40)])
+        got = _huber_objective(theta, log_n, log_d, log_loss, HUBER_DELTA)
+        want = [scalar_objective(t, log_n, log_d, log_loss, HUBER_DELTA) for t in theta]
+        assert got.tolist() == want, n_points
 
 
 # -- frontier selection -------------------------------------------------------------

@@ -328,13 +328,6 @@ def test_stage_one_only_touches_encoders_and_head():
     assert not predictor.report.aborted
 
 
-def test_optimizer_state_reset_is_mandatory():
-    plan = tiny_plan()
-    plan.reset_optimizer_state = False
-    with pytest.raises(TrainingError):
-        train(tiny_splits(), plan, fixed_baseline(), arch=TINY)
-
-
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_training_abort_keeps_last_finite_params():
     splits = tiny_splits()
