@@ -144,8 +144,9 @@ def scalar_objective(theta, log_n, log_d, log_loss, delta):
 
 def minimal_frontier():
     truth = cfit(e=1.7, a=6.2, b=1.8, alpha=0.32, beta=0.28)
-    return (frontier_from(truth, [100.0, 300.0], [10.0, 50.0])
-            + frontier_from(truth, [200.0], [25.0]))
+    return [pt for n, d in ((100.0, 10.0), (200.0, 10.0), (300.0, 25.0),
+                            (100.0, 50.0), (300.0, 50.0))
+            for pt in frontier_from(truth, [n], [d])]
 
 
 def grid_frontier():
@@ -201,10 +202,12 @@ def test_lockstep_matches_scipy_nelder_mead_start_by_start(name):
         assert case["funs"][i] == res.fun, i
 
 
-def test_noisy_starts_retire_at_different_iterations():
+def test_starts_retire_at_their_own_iteration_or_at_the_cap():
+    # the start-by-start comparison covers both ways a start retires
     nits = [res.nit for res in against_scipy("noisy-grid")["oracle"]]
     assert len(set(nits)) > 10
-    assert min(nits) < max(nits) < 4000
+    assert max(nits) < 4000
+    assert max(res.nit for res in against_scipy("minimal-5")["oracle"]) == 4000
 
 
 @pytest.mark.parametrize("name", sorted(FRONTIERS))
