@@ -5,6 +5,9 @@ criterion over every feature and threshold), depth-limited trees, mean-value
 leaves and shrinkage. Categorical fields enter as one-hot indicator columns.
 Split ties break toward the lowest feature index, then the lowest threshold,
 so a fixed dataset always yields an identical forest.
+
+The two hot loops live here: ``_best_split`` scans every feature of a node and
+``_forest_predict`` routes a batch of rows through the flattened forest.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .errors import ScopeError
 from .features import design_column_names, encode_batch, one_hot_matrix
 from .ingest import RunRecord
@@ -38,6 +40,66 @@ class GBTParams:
             raise ValueError("learning_rate must lie in (0, 1]")
         if self.min_leaf < 1:
             raise ValueError("min_leaf must be >= 1")
+
+
+def _best_split(x: np.ndarray, y: np.ndarray, min_leaf: int):
+    """(feature, threshold, gain, n_left) of a node's best split; feature -1 if none.
+
+    Candidate boundaries sit between distinct consecutive sorted values; gain
+    is the SSE reduction ls^2/nl + rs^2/nr - total^2/n. Ties break toward the
+    lowest feature index, then the lowest threshold: ``argmax`` takes the first
+    maximum of a stably sorted column, and a later feature must be strictly
+    better. ``total`` is the last prefix sum, not ``np.sum`` (which sums
+    pairwise), so every sum accumulates left to right and the splits, and with
+    them the ``.gbt`` dumps, stay bitwise fixed.
+    """
+    n, n_feat = x.shape
+    total = float(np.cumsum(y)[-1])
+    base = total * total / n
+    best_feat = -1
+    best_thr = 0.0
+    best_gain = 0.0
+    best_nl = 0
+    if n < 2 * min_leaf:
+        return best_feat, best_thr, best_gain, best_nl
+    ks = np.arange(min_leaf, n - min_leaf + 1)
+    for f in range(n_feat):
+        order = np.argsort(x[:, f], kind="stable")
+        xs = x[order, f]
+        prefix = np.cumsum(y[order])
+        ls = prefix[ks - 1]
+        rs = total - ls
+        gains = ls * ls / ks + rs * rs / (n - ks) - base
+        gains[xs[ks - 1] == xs[ks]] = -np.inf
+        j = int(np.argmax(gains))
+        if gains[j] > best_gain:
+            best_gain = float(gains[j])
+            best_feat = f
+            k = int(ks[j])
+            best_thr = 0.5 * (xs[k - 1] + xs[k])
+            best_nl = k
+    return best_feat, best_thr, best_gain, best_nl
+
+
+def _forest_predict(x, feature, threshold, left, right, value, offsets) -> np.ndarray:
+    """Sum of per-tree leaf values, walking all rows one tree level at a time.
+
+    ``offsets[t]`` is the root index of tree t, internal nodes have
+    feature >= 0, and rows go left when x[feature] <= threshold.
+    """
+    n = x.shape[0]
+    out = np.zeros(n, dtype=np.float64)
+    rows = np.arange(n)
+    for t in range(offsets.size):
+        idx = np.full(n, offsets[t], dtype=np.int64)
+        active = feature[idx] >= 0
+        while np.any(active):
+            cur = idx[active]
+            go_left = x[rows[active], feature[cur]] <= threshold[cur]
+            idx[active] = np.where(go_left, left[cur], right[cur])
+            active = feature[idx] >= 0
+        out += value[idx]
+    return out
 
 
 @dataclass
@@ -71,7 +133,7 @@ class BoostedForest:
             )
         out = np.full(x.shape[0], self.base_score, dtype=np.float64)
         if self.n_trees():
-            out += self.learning_rate * _kernels.forest_predict(
+            out += self.learning_rate * _forest_predict(
                 x, self.feature, self.threshold, self.left, self.right,
                 self.value, self.offsets,
             )
@@ -152,7 +214,7 @@ class _TreeBuilder:
             self._close_leaf(idx, sub_y, rows, leaf_of_row)
             return idx
         sub_x = np.ascontiguousarray(x[rows])
-        feat, thr, gain, _ = _kernels.best_split(sub_x, sub_y, min_leaf)
+        feat, thr, gain, _ = _best_split(sub_x, sub_y, min_leaf)
         if feat < 0 or gain <= 0.0:
             self._close_leaf(idx, sub_y, rows, leaf_of_row)
             return idx

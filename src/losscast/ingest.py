@@ -7,6 +7,9 @@ rejected, and the survivors are split into train / in-distribution validation
 / out-of-distribution validation. Models above the OOD size threshold never
 appear in training; below it, whole (optimizer, N, D) groups are assigned to
 one side so that near-duplicate runs cannot leak across the split.
+
+The two per-curve loops live here: the EMA recurrence in ``smooth_curve`` and
+the sliding-window slope scan of the instability filter.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .errors import FormatError, SplitError
 from .schema import RunConfig, SchemaError
 
@@ -83,13 +85,23 @@ class DatasetSplits:
 
 
 def smooth_curve(losses, coeff: float = SMOOTHING_COEFF) -> np.ndarray:
-    """Exponential moving average with s0 = x0."""
+    """Exponential moving average with s0 = x0.
+
+    The recurrence is sequential, so it runs left to right over python floats,
+    which round exactly as float64 scalars do and cost less per step.
+    """
     x = np.asarray(losses, dtype=np.float64)
     if x.size == 0:
         raise ValueError("cannot smooth an empty curve")
     if not 0.0 <= coeff < 1.0:
         raise ValueError("smoothing coefficient must lie in [0, 1)")
-    return _kernels.ema_smooth(x, coeff)
+    vals = x.tolist()
+    s = vals[0]
+    out = [s]
+    for v in vals[1:]:
+        s = coeff * s + (1.0 - coeff) * v
+        out.append(s)
+    return np.array(out, dtype=np.float64)
 
 
 def nd_key(config: RunConfig) -> tuple[float, float]:
@@ -302,6 +314,16 @@ def _slope_window(n_points: int) -> int:
     return int(math.ceil(SLOPE_WINDOW_FRAC * n_points))
 
 
+def _max_window_slope(steps: np.ndarray, losses: np.ndarray, window: int) -> float:
+    """Largest average slope over [i, i + window - 1]; -inf without a window."""
+    if window < 2 or steps.size < window:
+        return -np.inf
+    w = window - 1
+    dl = losses[w:] - losses[:-w]
+    ds = steps[w:] - steps[:-w]
+    return float(np.max(dl / ds))
+
+
 def filter_runs(runs) -> tuple[list[RunRecord], list[tuple[RunRecord, str, str]]]:
     """Reject unfinished, diverged, and unstable runs.
 
@@ -340,7 +362,7 @@ def filter_runs(runs) -> tuple[list[RunRecord], list[tuple[RunRecord, str, str]]
             continue
         if r.has_curve:
             window = _slope_window(len(r.smoothed))
-            slope = _kernels.max_window_slope(r.steps, r.smoothed, window)
+            slope = _max_window_slope(r.steps, r.smoothed, window)
             if slope > SLOPE_LIMIT:
                 rejected.append(
                     (r, RULE_UNSTABLE,
@@ -395,22 +417,15 @@ def split_dataset(
     )
 
 
-def write_split_manifest(
-    splits: DatasetSplits,
-    out_dir: str | os.PathLike,
-    rejected=(),
-) -> list[str]:
-    """Write one run_id file per split with a reproducibility header; returns paths."""
+def write_split_manifest(splits: DatasetSplits, out_dir: str | os.PathLike) -> list[str]:
+    """Write one run_id file per split with a reproducibility header; returns paths.
+
+    Rejection counts are not repeated here: ingest's ``rejected.jsonl`` holds them.
+    """
     os.makedirs(out_dir, exist_ok=True)
-    counts = {RULE_UNFINISHED: 0, RULE_DIVERGED: 0, RULE_UNSTABLE: 0}
-    for _, rule, _ in rejected:
-        counts[rule] = counts.get(rule, 0) + 1
     header = (
         f"# seed={splits.seed} ood_threshold_n={splits.ood_threshold_n:g} "
-        f"ratio={splits.ratio:g} "
-        f"rejected_unfinished={counts[RULE_UNFINISHED]} "
-        f"rejected_diverged={counts[RULE_DIVERGED]} "
-        f"rejected_unstable={counts[RULE_UNSTABLE]}\n"
+        f"ratio={splits.ratio:g}\n"
     )
     paths = []
     for name, records in (

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ingest import RunRecord, record_from_obj
+from .ingest import RunRecord, config_to_obj, record_from_obj
 from .schema import RunConfig
 
 #: warmup-bump peak location, as a fraction of training
@@ -230,31 +230,6 @@ def _design_configs(params: OracleParams, design: SynthDesign):
                         )
 
 
-def _config_obj(config: RunConfig, run_id: str) -> dict:
-    return {
-        "run_id": run_id,
-        "source": config.source,
-        "finished": True,
-        "model_size_n": config.model_size_n,
-        "num_layers": config.num_layers,
-        "num_heads": config.num_heads,
-        "hidden_dim": config.hidden_dim,
-        "data_size_d": config.data_size_d,
-        "total_steps": config.total_steps,
-        "optimizer": config.optimizer,
-        "peak_lr": config.peak_lr,
-        "lr_schedule": config.lr_schedule,
-        "min_lr_ratio": config.min_lr_ratio,
-        "weight_decay": config.weight_decay,
-        "batch_size": config.batch_size,
-        "warmup_ratio": config.warmup,
-        "max_grad_norm": config.max_grad_norm,
-        "beta1": config.beta1,
-        "beta2": config.beta2,
-        "epsilon": config.epsilon,
-    }
-
-
 def generate_synthetic_objects(
     params: OracleParams, design: SynthDesign | None = None, seed: int = 0
 ) -> list[dict]:
@@ -263,7 +238,9 @@ def generate_synthetic_objects(
     rng = np.random.default_rng(seed)
     objs = []
     for i, config in enumerate(_design_configs(params, design)):
-        obj = _config_obj(config, run_id=f"synth-{i:05d}")
+        obj = config_to_obj(config)
+        obj["run_id"] = f"synth-{i:05d}"
+        obj["finished"] = True
         true_loss = oracle_loss(params, config)
         if design.with_curves:
             k = design.curve_points

@@ -251,5 +251,5 @@ def test_manifest_files(tmp_path):
     assert sorted(p.split("/")[-1] for p in paths) == [
         "id_val.ids", "ood_val.ids", "train.ids"]
     lines = (tmp_path / "train.ids").read_text().splitlines()
-    assert lines[0].startswith("# seed=2 ")
+    assert lines[0] == "# seed=2 ood_threshold_n=430 ratio=0.8"
     assert lines[1:] == [r.run_id for r in splits.train]

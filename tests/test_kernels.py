@@ -1,5 +1,5 @@
-"""The numpy kernels against brute-force re-implementations, and the jit
-variants against the numpy ones bit for bit."""
+"""The hot loops (EMA smoothing and slope scan in ingest, split search and
+forest traversal in gbt) against brute-force re-implementations."""
 
 import os
 import subprocess
@@ -8,7 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-from losscast import _kernels as K
+import losscast
+from losscast.gbt import _best_split, _forest_predict
+from losscast.ingest import _max_window_slope, smooth_curve
 
 
 def ema_reference(x, coeff):
@@ -52,20 +54,22 @@ def best_split_reference(x, y, min_leaf):
 
 
 def test_ema_matches_reference(rng):
-    for size in (1, 2, 7, 300):
+    for size in (1, 2, 7, 300, 800):
         x = rng.normal(size=size)
-        got = K.ema_smooth_np(x, 0.99)
-        want = ema_reference(x, 0.99)
-        np.testing.assert_array_equal(got, want)
+        for coeff in (0.0, 0.5, 0.99, 0.999):
+            got = smooth_curve(x, coeff)
+            want = ema_reference(x, coeff)
+            assert got.dtype == np.float64 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (size, coeff)
 
 
 def test_ema_constant_is_identity():
     x = np.full(50, 3.25)
-    np.testing.assert_array_equal(K.ema_smooth_np(x, 0.99), x)
+    np.testing.assert_array_equal(smooth_curve(x, 0.99), x)
 
 
 def test_ema_two_points():
-    got = K.ema_smooth_np(np.array([1.0, 2.0]), 0.99)
+    got = smooth_curve(np.array([1.0, 2.0]), 0.99)
     np.testing.assert_allclose(got, [1.0, 0.99 * 1.0 + 0.01 * 2.0], rtol=0, atol=0)
 
 
@@ -74,7 +78,7 @@ def test_max_slope_matches_reference(rng):
         steps = np.cumsum(rng.integers(1, 20, size=size)).astype(np.float64)
         losses = rng.normal(size=size)
         for window in (1, 2, 3, size // 2 + 1, size + 3):
-            got = K.max_window_slope_np(steps, losses, window)
+            got = _max_window_slope(steps, losses, window)
             want = max_slope_reference(steps, losses, window)
             assert got == want, (size, window)
 
@@ -82,7 +86,7 @@ def test_max_slope_matches_reference(rng):
 def test_max_slope_monotone_decrease_is_negative():
     steps = np.arange(10, dtype=np.float64)
     losses = 5.0 - 0.5 * steps
-    assert K.max_window_slope_np(steps, losses, 3) == pytest.approx(-0.5)
+    assert _max_window_slope(steps, losses, 3) == pytest.approx(-0.5)
 
 
 def test_best_split_exhaustive_oracle(rng):
@@ -94,7 +98,7 @@ def test_best_split_exhaustive_oracle(rng):
             x = np.round(x, 1)  # force ties / duplicate values
         y = rng.normal(size=n)
         min_leaf = int(rng.integers(1, 4))
-        got = K.best_split_np(x, y, min_leaf)
+        got = _best_split(x, y, min_leaf)
         want = best_split_reference(x, y, min_leaf)
         assert got[0] == want[0], trial
         if got[0] >= 0:
@@ -106,7 +110,7 @@ def test_best_split_exhaustive_oracle(rng):
 def test_best_split_simple_step():
     x = np.array([[0.0], [0.0], [1.0], [1.0]])
     y = np.array([0.0, 0.0, 1.0, 1.0])
-    f, thr, gain, n_left = K.best_split_np(x, y, 1)
+    f, thr, gain, n_left = _best_split(x, y, 1)
     assert f == 0 and thr == 0.5 and n_left == 2
     assert gain == pytest.approx(0.0 + 4.0 / 2 - 4.0 / 4)  # 0^2/2 + 2^2/2 - 2^2/4
 
@@ -114,7 +118,7 @@ def test_best_split_simple_step():
 def test_best_split_constant_feature_finds_nothing():
     x = np.zeros((10, 2))
     y = np.arange(10.0)
-    assert K.best_split_np(x, y, 1)[0] == -1
+    assert _best_split(x, y, 1)[0] == -1
 
 
 def test_forest_predict_matches_python_walk(rng):
@@ -126,63 +130,20 @@ def test_forest_predict_matches_python_walk(rng):
     value = np.array([0.0, -1.0, 2.0, 0.25])
     offsets = np.array([0, 3], dtype=np.int64)
     x = rng.normal(size=(50, 2))
-    got = K.forest_predict_np(x, feature, threshold, left, right, value, offsets)
+    got = _forest_predict(x, feature, threshold, left, right, value, offsets)
     want = np.where(x[:, 0] <= 0.5, -1.0, 2.0) + 0.25
     np.testing.assert_array_equal(got, want)
 
 
-@pytest.mark.skipif(not K.USING_NUMBA, reason="numba disabled or unavailable")
-class TestJitEquivalence:
-    """The compiled kernels must be bitwise identical to the numpy ones."""
-
-    def test_ema(self, rng):
-        for size in (1, 3, 1000):
-            x = rng.normal(size=size)
-            np.testing.assert_array_equal(K.ema_smooth_np(x, 0.99),
-                                          K.ema_smooth_jit(x, 0.99))
-
-    def test_max_slope(self, rng):
-        steps = np.cumsum(rng.integers(1, 9, size=500)).astype(np.float64)
-        losses = rng.normal(size=500)
-        for window in (2, 5, 26):
-            a = K.max_window_slope_np(steps, losses, window)
-            b = K.max_window_slope_jit(steps, losses, window)
-            assert a == b
-
-    def test_best_split(self, rng):
-        for trial in range(10):
-            x = np.round(rng.normal(size=(60, 4)), 1)
-            y = rng.normal(size=60)
-            a = K.best_split_np(x, y, 3)
-            b = K.best_split_jit(x, y, 3)
-            assert a[0] == b[0] and a[3] == b[3]
-            assert (a[1] == b[1]) and (a[2] == b[2])  # bitwise, not approx
-
-    def test_forest(self, rng):
-        from losscast.gbt import fit_gbt_arrays, GBTParams
-        x = rng.normal(size=(200, 5))
-        y = x[:, 0] * 1.5 + np.sin(x[:, 1])
-        forest = fit_gbt_arrays(x, y, GBTParams(rounds=20, max_depth=3))
-        q = np.ascontiguousarray(rng.normal(size=(80, 5)))
-        a = K.forest_predict_np(q, forest.feature, forest.threshold,
-                                forest.left, forest.right, forest.value,
-                                forest.offsets)
-        b = K.forest_predict_jit(q, forest.feature, forest.threshold,
-                                 forest.left, forest.right, forest.value,
-                                 forest.offsets)
-        np.testing.assert_array_equal(a, b)
-
-
-def test_env_flag_disables_numba():
-    env = dict(os.environ, LOSSCAST_NUMBA="0")
-    code = "from losscast import _kernels; print(_kernels.USING_NUMBA)"
+def test_imports_load_neither_numba_nor_scipy_signal():
+    # scipy.signal would cost every command more start-up time than its lfilter
+    # could save in the EMA, and numba is not a dependency
+    src = os.path.dirname(os.path.dirname(losscast.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, losscast.cli, losscast.gbt, losscast.ingest; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'numba' or m.startswith('scipy.signal')))")
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
-
-
-def test_dispatch_points_at_selected_kernels():
-    if K.USING_NUMBA:
-        assert K.ema_smooth is K.ema_smooth_jit
-    else:
-        assert K.ema_smooth is K.ema_smooth_np
+    assert out.stdout.strip() == "[]"
