@@ -6,8 +6,18 @@ leaves and shrinkage. Categorical fields enter as one-hot indicator columns.
 Split ties break toward the lowest feature index, then the lowest threshold,
 so a fixed dataset always yields an identical forest.
 
-The two hot loops live here: ``_best_split`` scans every feature of a node and
-``_forest_predict`` routes a batch of rows through the flattened forest.
+Boosting runs over the design columns that vary on the training rows only:
+a constant column has no boundary, so it can never win a split, and dropping
+it changes nothing. Each kept column is argsorted once per fit, stably, and a
+split stably partitions every sorted row list of the node, so each node sees
+its rows in the (value, row) order a fresh stable sort would give. That is the
+column-block layout of exact greedy in XGBoost (Chen & Guestrin 2016). Chosen
+features are stored in full-design coordinates, so ``.gbt`` dumps,
+``n_features`` and prediction see the full one-hot design.
+
+The two hot loops live here: ``_best_split`` scans every kept feature of a
+node and ``_forest_predict`` routes a batch of rows through the flattened
+forest.
 """
 
 from __future__ import annotations
@@ -16,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ScopeError
+from .errors import SchemaError
 from .features import design_column_names, encode_batch, one_hot_matrix
 from .ingest import RunRecord
 from .lawfit import ChinchillaFit, ChinchillaPredictor, Scope
@@ -42,19 +52,24 @@ class GBTParams:
             raise ValueError("min_leaf must be >= 1")
 
 
-def _best_split(x: np.ndarray, y: np.ndarray, min_leaf: int):
+def _best_split(xt: np.ndarray, y: np.ndarray, rows: np.ndarray, order: np.ndarray,
+                min_leaf: int):
     """(feature, threshold, gain, n_left) of a node's best split; feature -1 if none.
 
-    Candidate boundaries sit between distinct consecutive sorted values; gain
-    is the SSE reduction ls^2/nl + rs^2/nr - total^2/n. Ties break toward the
-    lowest feature index, then the lowest threshold: ``argmax`` takes the first
-    maximum of a stably sorted column, and a later feature must be strictly
-    better. ``total`` is the last prefix sum, not ``np.sum`` (which sums
+    ``xt`` is the design transposed to (features, n) and ``y`` the full target.
+    The node holds ``rows`` in ascending order, and ``order[f]`` lists the same
+    rows sorted by feature f with ties in row order, which is what a stable
+    argsort of the node's own column gives. Candidate boundaries sit between
+    distinct consecutive sorted values; gain is the SSE reduction
+    ls^2/nl + rs^2/nr - total^2/n. Ties break toward the lowest feature index,
+    then the lowest threshold: ``argmax`` takes the first maximum of a sorted
+    column, and a later feature must be strictly better. ``total`` is the last
+    prefix sum over the node's rows in row order, not ``np.sum`` (which sums
     pairwise), so every sum accumulates left to right and the splits, and with
     them the ``.gbt`` dumps, stay bitwise fixed.
     """
-    n, n_feat = x.shape
-    total = float(np.cumsum(y)[-1])
+    n = rows.size
+    total = float(np.cumsum(y[rows])[-1])
     base = total * total / n
     best_feat = -1
     best_thr = 0.0
@@ -63,20 +78,18 @@ def _best_split(x: np.ndarray, y: np.ndarray, min_leaf: int):
     if n < 2 * min_leaf:
         return best_feat, best_thr, best_gain, best_nl
     ks = np.arange(min_leaf, n - min_leaf + 1)
-    for f in range(n_feat):
-        order = np.argsort(x[:, f], kind="stable")
-        xs = x[order, f]
-        prefix = np.cumsum(y[order])
-        ls = prefix[ks - 1]
-        rs = total - ls
-        gains = ls * ls / ks + rs * rs / (n - ks) - base
-        gains[xs[ks - 1] == xs[ks]] = -np.inf
-        j = int(np.argmax(gains))
-        if gains[j] > best_gain:
-            best_gain = float(gains[j])
+    xs = np.take_along_axis(xt, order, axis=1)
+    prefix = np.cumsum(y[order], axis=1)
+    ls = prefix[:, ks - 1]
+    rs = total - ls
+    gains = ls * ls / ks + rs * rs / (n - ks) - base
+    gains[xs[:, ks - 1] == xs[:, ks]] = -np.inf
+    for f, j in enumerate(np.argmax(gains, axis=1)):
+        if gains[f, j] > best_gain:
+            best_gain = float(gains[f, j])
             best_feat = f
             k = int(ks[j])
-            best_thr = 0.5 * (xs[k - 1] + xs[k])
+            best_thr = 0.5 * (xs[f, k - 1] + xs[f, k])
             best_nl = k
     return best_feat, best_thr, best_gain, best_nl
 
@@ -161,47 +174,86 @@ class BoostedForest:
 
     @classmethod
     def from_text(cls, text: str) -> "BoostedForest":
+        """Parse a ``dump_text`` forest and check it.
+
+        Every tree and node must be defined exactly once, as many as the header
+        says; features lie in [-1, n_features); roots index nodes, and children
+        come after their parent, as in a preorder dump, so every walk ends at a
+        leaf. Anything else raises SchemaError.
+        """
         lines = [ln for ln in text.splitlines() if ln.strip()]
-        head = dict(kv.split("=", 1) for kv in lines[0].split()[1:])
-        n_nodes = int(head["n_nodes"])
-        forest = cls(
-            base_score=float(head["base_score"]),
-            learning_rate=float(head["learning_rate"]),
-            n_features=int(head["n_features"]),
-            feature=np.full(n_nodes, -1, dtype=np.int64),
-            threshold=np.zeros(n_nodes, dtype=np.float64),
-            left=np.zeros(n_nodes, dtype=np.int64),
-            right=np.zeros(n_nodes, dtype=np.int64),
-            value=np.zeros(n_nodes, dtype=np.float64),
-            offsets=np.zeros(int(head["n_trees"]), dtype=np.int64),
+        roots: dict[int, int] = {}
+        nodes: dict[int, tuple[int, float, int, int, float]] = {}
+        try:
+            head = dict(kv.split("=", 1) for kv in lines[0].split()[1:])
+            n_features = int(head["n_features"])
+            n_trees = int(head["n_trees"])
+            n_nodes = int(head["n_nodes"])
+            for ln in lines[1:]:
+                parts = ln.split()
+                kind, i = parts[0], int(parts[1])
+                table = {"tree": roots, "node": nodes}[kind]
+                if i in table:
+                    raise SchemaError(f"GBT dump defines {kind} {i} twice")
+                if kind == "tree":
+                    roots[i] = int(parts[2].split("root=", 1)[1])
+                elif parts[2] == "leaf":
+                    nodes[i] = (-1, 0.0, -1, -1, float(ln.split("value=", 1)[1]))
+                else:
+                    kv = dict(p.split("=", 1) for p in parts[2:])
+                    nodes[i] = (int(kv["feature"]), float(kv["threshold"]),
+                                int(kv["left"]), int(kv["right"]), 0.0)
+            base_score = float(head["base_score"])
+            learning_rate = float(head["learning_rate"])
+        except (IndexError, KeyError, ValueError) as exc:
+            raise SchemaError(f"malformed GBT dump: {exc!r}") from None
+
+        for kind, table, count in (("tree", roots, n_trees), ("node", nodes, n_nodes)):
+            if len(table) != count:
+                raise SchemaError(f"GBT dump has {len(table)} {kind}s, header says {count}")
+            missing = sorted(set(range(count)) - table.keys())
+            if missing:
+                raise SchemaError(f"GBT dump never defines {kind} {missing[0]}")
+        for t, root in roots.items():
+            if not 0 <= root < n_nodes:
+                raise SchemaError(f"GBT dump tree {t} has root {root} outside [0, {n_nodes})")
+        for i, (feat, _, left, right, _) in nodes.items():
+            if not -1 <= feat < n_features:
+                raise SchemaError(
+                    f"GBT dump node {i} has feature {feat} outside [-1, {n_features})")
+            if feat >= 0 and not (i < left < n_nodes and i < right < n_nodes):
+                raise SchemaError(
+                    f"GBT dump node {i} has children {left}, {right} outside ({i}, {n_nodes})")
+
+        table = [nodes[i] for i in range(n_nodes)]
+        return cls(
+            base_score=base_score, learning_rate=learning_rate, n_features=n_features,
+            feature=np.array([r[0] for r in table], dtype=np.int64),
+            threshold=np.array([r[1] for r in table], dtype=np.float64),
+            left=np.array([r[2] for r in table], dtype=np.int64),
+            right=np.array([r[3] for r in table], dtype=np.int64),
+            value=np.array([r[4] for r in table], dtype=np.float64),
+            offsets=np.array([roots[t] for t in range(n_trees)], dtype=np.int64),
         )
-        for ln in lines[1:]:
-            parts = ln.split()
-            if parts[0] == "tree":
-                forest.offsets[int(parts[1])] = int(parts[2].split("=", 1)[1])
-            elif parts[2] == "leaf":
-                forest.value[int(parts[1])] = float(ln.split("value=", 1)[1])
-            else:
-                kv = dict(p.split("=", 1) for p in parts[2:])
-                i = int(parts[1])
-                forest.feature[i] = int(kv["feature"])
-                forest.threshold[i] = float(kv["threshold"])
-                forest.left[i] = int(kv["left"])
-                forest.right[i] = int(kv["right"])
-        return forest
 
 
 class _TreeBuilder:
-    """Accumulates one tree's nodes in preorder."""
+    """Grows one tree over the compacted design and accumulates its nodes in
+    preorder, with features stored in full-design coordinates."""
 
-    def __init__(self):
+    def __init__(self, xt, cols, y, min_leaf, leaf_of_row):
+        self.xt = xt
+        self.cols = cols
+        self.y = y
+        self.min_leaf = min_leaf
+        self.leaf_of_row = leaf_of_row
         self.feature: list[int] = []
         self.threshold: list[float] = []
         self.left: list[int] = []
         self.right: list[int] = []
         self.value: list[float] = []
 
-    def build(self, x, y, rows, depth_left, min_leaf, leaf_of_row) -> int:
+    def build(self, rows, order, depth_left) -> int:
         idx = len(self.feature)
         self.feature.append(-1)
         self.threshold.append(0.0)
@@ -209,31 +261,34 @@ class _TreeBuilder:
         self.right.append(-1)
         self.value.append(0.0)
 
-        sub_y = y[rows]
-        if depth_left == 0 or rows.size < 2 * min_leaf:
-            self._close_leaf(idx, sub_y, rows, leaf_of_row)
-            return idx
-        sub_x = np.ascontiguousarray(x[rows])
-        feat, thr, gain, _ = _best_split(sub_x, sub_y, min_leaf)
+        if depth_left == 0 or rows.size < 2 * self.min_leaf:
+            return self._close_leaf(idx, rows)
+        feat, thr, gain, _ = _best_split(self.xt, self.y, rows, order, self.min_leaf)
         if feat < 0 or gain <= 0.0:
-            self._close_leaf(idx, sub_y, rows, leaf_of_row)
-            return idx
-        go_left = sub_x[:, feat] <= thr
-        self.feature[idx] = int(feat)
+            return self._close_leaf(idx, rows)
+        # boolean filtering keeps each sorted list sorted and the rows ascending
+        go_left = self.xt[feat] <= thr
+        row_left, order_left = go_left[rows], go_left[order]
+        n_feat = order.shape[0]
+        self.feature[idx] = int(self.cols[feat])
         self.threshold[idx] = float(thr)
-        self.left[idx] = self.build(x, y, rows[go_left], depth_left - 1, min_leaf, leaf_of_row)
-        self.right[idx] = self.build(x, y, rows[~go_left], depth_left - 1, min_leaf, leaf_of_row)
+        self.left[idx] = self.build(rows[row_left], order[order_left].reshape(n_feat, -1),
+                                    depth_left - 1)
+        self.right[idx] = self.build(rows[~row_left], order[~order_left].reshape(n_feat, -1),
+                                     depth_left - 1)
         return idx
 
-    def _close_leaf(self, idx, sub_y, rows, leaf_of_row):
-        v = float(np.mean(sub_y))
+    def _close_leaf(self, idx, rows) -> int:
+        v = float(np.mean(self.y[rows]))
         self.value[idx] = v
-        leaf_of_row[rows] = v
+        self.leaf_of_row[rows] = v
+        return idx
 
 
 def fit_gbt_arrays(x: np.ndarray, y: np.ndarray, params: GBTParams = GBTParams()) -> BoostedForest:
     """Boost on a prepared design matrix. Returns the forest and nothing else;
-    training MSE per round is recoverable from predictions if needed."""
+    training MSE per round is recoverable from predictions if needed. The split
+    search sees only the varying columns, presorted once (module docstring)."""
     params.validate()
     x = np.ascontiguousarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -245,6 +300,9 @@ def fit_gbt_arrays(x: np.ndarray, y: np.ndarray, params: GBTParams = GBTParams()
     if n < 2 * params.min_leaf:
         raise ValueError(f"need at least {2 * params.min_leaf} examples, got {n}")
 
+    cols = np.flatnonzero(np.any(x != x[0], axis=0))
+    xt = np.ascontiguousarray(x[:, cols].T)
+    order = np.argsort(xt, axis=1, kind="stable")
     base = float(np.mean(y))
     forest = BoostedForest(
         base_score=base, learning_rate=params.learning_rate, n_features=x.shape[1]
@@ -259,8 +317,8 @@ def fit_gbt_arrays(x: np.ndarray, y: np.ndarray, params: GBTParams = GBTParams()
     all_rows = np.arange(n)
     leaf_of_row = np.zeros(n, dtype=np.float64)
     for _ in range(params.rounds):
-        tb = _TreeBuilder()
-        tb.build(x, residual, all_rows, params.max_depth, params.min_leaf, leaf_of_row)
+        tb = _TreeBuilder(xt, cols, residual, params.min_leaf, leaf_of_row)
+        tb.build(all_rows, order, params.max_depth)
         off = len(feats)
         offsets.append(off)
         feats.extend(tb.feature)
@@ -324,8 +382,6 @@ class GBTPredictor:
     @classmethod
     def load(cls, path: str) -> "GBTPredictor":
         import json
-
-        from .schema import SchemaError
 
         with open(path, "r", encoding="utf-8") as fh:
             first = fh.readline()

@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import RBFInterpolator
-from scipy.ndimage import gaussian_filter
 
 
 @dataclass(frozen=True)
@@ -111,6 +109,10 @@ def fit_rbf_surface(surface):
     Exact duplicates are collapsed; duplicates with conflicting losses are an
     error since the interpolant must reproduce its samples.
     """
+    # imported here: every command imports this module, and only the contour
+    # export needs scipy.interpolate, which is slow to load
+    from scipy.interpolate import RBFInterpolator
+
     seen = {}
     for lr, bs, loss in surface:
         key = (float(lr), float(bs))
@@ -131,6 +133,8 @@ def export_contour_data(surface, resolution: int = 50, sigma_cells: float = 1.0)
     The grid spans the sample bounding box in (log lr, log bs); smoothing is
     a Gaussian blur with sigma of ``sigma_cells`` grid cells.
     """
+    from scipy.ndimage import gaussian_filter
+
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     rbf = fit_rbf_surface(surface)

@@ -1,7 +1,8 @@
-"""Boosted trees: split search against exhaustive enumeration, prediction
-against an independent traversal, and the textual dump format."""
+"""Boosted trees: whole forests against a per-node reference builder,
+prediction against an independent traversal, and the textual dump format."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -36,6 +37,147 @@ def reference_predict(forest, x):
         for t in range(len(forest.offsets)):
             out[r] += forest.learning_rate * walk_tree(forest, t, x[r])
     return out
+
+
+def per_node_split(x, y, min_leaf):
+    """Split search with a fresh stable argsort of every column of the node."""
+    n = len(y)
+    total = float(np.cumsum(y)[-1])
+    base = total * total / n
+    best = (-1, 0.0, 0.0, 0)
+    if n < 2 * min_leaf:
+        return best
+    ks = np.arange(min_leaf, n - min_leaf + 1)
+    for f in range(x.shape[1]):
+        order = np.argsort(x[:, f], kind="stable")
+        xs = x[order, f]
+        prefix = np.cumsum(y[order])
+        ls = prefix[ks - 1]
+        rs = total - ls
+        gains = ls * ls / ks + rs * rs / (n - ks) - base
+        gains[xs[ks - 1] == xs[ks]] = -np.inf
+        j = int(np.argmax(gains))
+        if gains[j] > best[2]:
+            k = int(ks[j])
+            best = (f, 0.5 * (xs[k - 1] + xs[k]), float(gains[j]), k)
+    return best
+
+
+def per_node_fit(x, y, params):
+    """Reference boosting over the full design that copies and re-sorts every
+    node's rows; returns the forest's dump."""
+    base = float(np.mean(y))
+    residual = y - base
+    feature, threshold, left, right, value, offsets = [], [], [], [], [], []
+
+    def grow(rows, depth_left, target, leaf_of_row):
+        idx = len(feature)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(0.0)
+        sub_x, sub_y = x[rows], target[rows]
+        f, thr, gain, _ = (per_node_split(sub_x, sub_y, params.min_leaf)
+                           if depth_left else (-1, 0.0, 0.0, 0))
+        if f < 0 or gain <= 0.0:
+            value[idx] = float(np.mean(sub_y))
+            leaf_of_row[rows] = value[idx]
+            return idx
+        go_left = sub_x[:, f] <= thr
+        feature[idx], threshold[idx] = f, float(thr)
+        left[idx] = grow(rows[go_left], depth_left - 1, target, leaf_of_row)
+        right[idx] = grow(rows[~go_left], depth_left - 1, target, leaf_of_row)
+        return idx
+
+    leaf_of_row = np.zeros(len(y))
+    for _ in range(params.rounds):
+        offsets.append(grow(np.arange(len(y)), params.max_depth, residual, leaf_of_row))
+        residual = residual - params.learning_rate * leaf_of_row
+    return BoostedForest(
+        base_score=base, learning_rate=params.learning_rate, n_features=x.shape[1],
+        feature=np.array(feature, dtype=np.int64), threshold=np.array(threshold),
+        left=np.array(left, dtype=np.int64), right=np.array(right, dtype=np.int64),
+        value=np.array(value), offsets=np.array(offsets, dtype=np.int64),
+    ).dump_text()
+
+
+def mixed_designs(rng, n=90):
+    """Designs with constant columns, one-hot blocks and heavily tied values."""
+    yield "ties", np.round(rng.normal(size=(n, 4)), 0)
+    x = rng.normal(size=(n, 6))
+    x[:, [0, 3, 4]] = [1.5, 0.0, -2.0]
+    yield "constant columns", x
+    # a one-hot block whose first category never occurs, an always-on
+    # indicator and a three-level ordinal column
+    onehot = np.eye(5)[rng.integers(1, 5, n)]
+    always = np.ones((n, 1))
+    yield "one-hot", np.hstack([always, onehot, rng.integers(0, 3, (n, 1)) * 0.5])
+
+
+def test_forest_matches_the_per_node_builder(rng):
+    for name, x in mixed_designs(rng):
+        y = np.round(rng.normal(size=x.shape[0]), 1) + (x[:, -1] > x[0, -1])
+        varying = set(np.flatnonzero(np.any(x != x[0], axis=0)))
+        for min_leaf in range(1, 6):
+            for max_depth in range(1, 7):
+                params = GBTParams(rounds=3, max_depth=max_depth,
+                                   learning_rate=0.3, min_leaf=min_leaf)
+                forest = fit_gbt_arrays(x, y, params)
+                assert forest.dump_text() == per_node_fit(x, y, params), \
+                    (name, min_leaf, max_depth)
+                assert set(forest.feature[forest.feature >= 0]) <= varying
+
+
+def test_all_constant_design_gives_leaves_only(rng):
+    x = np.full((40, 5), 2.5)
+    y = rng.normal(size=40)
+    params = GBTParams(rounds=4, max_depth=3, min_leaf=2)
+    forest = fit_gbt_arrays(x, y, params)
+    assert forest.dump_text() == per_node_fit(x, y, params)
+    assert np.all(forest.feature == -1) and forest.feature.size == params.rounds
+    assert forest.n_features == 5
+
+
+def corrupted_dumps(text):
+    """(what is wrong, corrupted dump) pairs derived from a valid dump."""
+    lines = text.splitlines()
+    head = lines[0]
+    n_nodes = int(head.rsplit("n_nodes=", 1)[1])
+    n_features = int(re.search(r"n_features=(\d+)", head).group(1))
+    k = next(j for j, ln in enumerate(lines) if " feature=" in ln)
+    i = int(lines[k].split()[1])
+
+    def edit(j, pattern, repl):
+        out = list(lines)
+        out[j] = re.sub(pattern, repl, out[j], count=1)
+        return out
+
+    yield "n_nodes too large", edit(0, r"n_nodes=\d+", f"n_nodes={n_nodes + 1}")
+    yield "node line dropped", lines[:-1]
+    yield "node defined twice", lines + [lines[-1]]
+    yield "node never defined", edit(-1, r"^node \d+", f"node {n_nodes}")
+    yield "feature too large", edit(k, r"feature=\d+", f"feature={n_features}")
+    yield "feature below -1", edit(k, r"feature=\d+", "feature=-2")
+    yield "left child out of range", edit(k, r"left=\d+", f"left={n_nodes}")
+    yield "right child is its parent", edit(k, r"right=\d+", f"right={i}")
+    yield "root out of range", edit(1, r"root=\d+", f"root={n_nodes}")
+    yield "tree line dropped", [head] + lines[2:]
+    yield "tree defined twice", lines[:2] + lines[1:]
+    yield "unparseable node", lines + ["node x leaf"]
+
+
+def test_from_text_rejects_corrupted_dumps(rng):
+    x = rng.normal(size=(60, 3))
+    y = x[:, 0] + rng.normal(size=60)
+    text = fit_gbt_arrays(x, y, GBTParams(rounds=3, max_depth=2)).dump_text()
+    assert BoostedForest.from_text(text).dump_text() == text
+    for what, lines in corrupted_dumps(text):
+        try:
+            BoostedForest.from_text("\n".join(lines) + "\n")
+        except SchemaError:
+            continue
+        pytest.fail(f"loaded a dump with {what}")
 
 
 def test_predictions_match_independent_traversal(rng):

@@ -53,6 +53,14 @@ def best_split_reference(x, y, min_leaf):
     return best
 
 
+def presorted_split(x, y, min_leaf):
+    """The split kernel on a node holding every row of x, with each column's
+    row list presorted by a stable argsort."""
+    xt = np.ascontiguousarray(x.T)
+    order = np.argsort(xt, axis=1, kind="stable")
+    return _best_split(xt, y, np.arange(len(y)), order, min_leaf)
+
+
 def test_ema_matches_reference(rng):
     for size in (1, 2, 7, 300, 800):
         x = rng.normal(size=size)
@@ -98,7 +106,7 @@ def test_best_split_exhaustive_oracle(rng):
             x = np.round(x, 1)  # force ties / duplicate values
         y = rng.normal(size=n)
         min_leaf = int(rng.integers(1, 4))
-        got = _best_split(x, y, min_leaf)
+        got = presorted_split(x, y, min_leaf)
         want = best_split_reference(x, y, min_leaf)
         assert got[0] == want[0], trial
         if got[0] >= 0:
@@ -110,7 +118,7 @@ def test_best_split_exhaustive_oracle(rng):
 def test_best_split_simple_step():
     x = np.array([[0.0], [0.0], [1.0], [1.0]])
     y = np.array([0.0, 0.0, 1.0, 1.0])
-    f, thr, gain, n_left = _best_split(x, y, 1)
+    f, thr, gain, n_left = presorted_split(x, y, 1)
     assert f == 0 and thr == 0.5 and n_left == 2
     assert gain == pytest.approx(0.0 + 4.0 / 2 - 4.0 / 4)  # 0^2/2 + 2^2/2 - 2^2/4
 
@@ -118,7 +126,7 @@ def test_best_split_simple_step():
 def test_best_split_constant_feature_finds_nothing():
     x = np.zeros((10, 2))
     y = np.arange(10.0)
-    assert _best_split(x, y, 1)[0] == -1
+    assert presorted_split(x, y, 1)[0] == -1
 
 
 def test_forest_predict_matches_python_walk(rng):
@@ -135,15 +143,17 @@ def test_forest_predict_matches_python_walk(rng):
     np.testing.assert_array_equal(got, want)
 
 
-def test_imports_load_neither_numba_nor_scipy_signal():
+def test_imports_load_no_numba_and_no_unused_scipy():
     # scipy.signal would cost every command more start-up time than its lfilter
-    # could save in the EMA, and numba is not a dependency
+    # could save in the EMA; scipy.interpolate and scipy.ndimage serve only the
+    # contour export, which imports them itself; numba is not a dependency
     src = os.path.dirname(os.path.dirname(losscast.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import sys, losscast.cli, losscast.gbt, losscast.ingest; "
             "print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'numba' or m.startswith('scipy.signal')))")
+            "if m.split('.')[0] == 'numba' or m.split('.')[:2] in "
+            "(['scipy', 'signal'], ['scipy', 'interpolate'], ['scipy', 'ndimage'])))")
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
