@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import glob
 import json
 import os
 import sys
@@ -40,17 +39,15 @@ from .ingest import (
     TRAIN_RATIO,
 )
 from .lawfit import (
-    ChinchillaFit,
     ChinchillaPredictor,
     fit_baselines,
     fit_power_law,
-    load_fits,
     save_fits,
     select_best_per_group,
 )
 from .metrics import compute_metrics, evaluate_split, export_contour_data
-from .regressor import StagePlan, TrainPlan, TrainedPredictor, train
-from .schema import Schema, SchemaError
+from .regressor import TrainPlan, TrainedPredictor, train
+from .schema import Schema
 from .select import SweepGrid, recommend
 from .synth import OracleParams, SynthDesign, write_synthetic_dataset
 
@@ -131,13 +128,7 @@ def load_predictor(path: str):
     """Load any saved predictor: checkpoint zip, boosted-forest dump, or a
     directory of law-fit JSON files."""
     if os.path.isdir(path):
-        files = sorted(glob.glob(os.path.join(path, "chinchilla_*.json")))
-        if not files:
-            raise ValueError(f"no chinchilla fit files in {path}")
-        fits = load_fits(files)
-        return ChinchillaPredictor(
-            {s: f for s, f in fits.items() if isinstance(f, ChinchillaFit)}
-        )
+        return ChinchillaPredictor.load(path)
     if zipfile.is_zipfile(path):
         return TrainedPredictor.load(path)
     with open(path, "r", encoding="utf-8") as fh:
@@ -282,11 +273,7 @@ def cmd_train(args) -> int:
         raise ValueError("curve prediction needs the neural method")
 
     splits = _load_split_dir(r["input"])
-    fit_files = sorted(glob.glob(os.path.join(r["fits"], "chinchilla_*.json")))
-    if not fit_files:
-        raise ValueError(f"no chinchilla fit files in {r['fits']}")
-    baselines = {s: f for s, f in load_fits(fit_files).items()
-                 if isinstance(f, ChinchillaFit)}
+    baselines = ChinchillaPredictor.load(r["fits"]).fits
 
     overrides = {}
     if r["plan"]:

@@ -22,6 +22,7 @@ forest.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +31,7 @@ from .errors import SchemaError
 from .features import design_column_names, encode_batch, one_hot_matrix
 from .ingest import RunRecord
 from .lawfit import ChinchillaFit, ChinchillaPredictor, Scope
-from .regressor import check_schema_compatible, build_training_rows
+from .regressor import build_training_rows
 from .schema import RunConfig, Schema
 
 
@@ -340,12 +341,10 @@ def fit_gbt_arrays(x: np.ndarray, y: np.ndarray, params: GBTParams = GBTParams()
 class GBTPredictor:
     """Boosted-forest analog of the neural predictor: baseline + residual."""
 
-    def __init__(self, forest: BoostedForest, schema: Schema,
-                 baselines: dict[Scope, ChinchillaFit]):
+    def __init__(self, forest: BoostedForest, schema: Schema, baseline: ChinchillaPredictor):
         self.forest = forest
         self.schema = schema
-        self.baselines = dict(baselines)
-        self._chinchilla = ChinchillaPredictor(baselines)
+        self.baseline = baseline
 
     def _residuals(self, configs: list[RunConfig]) -> np.ndarray:
         """One forest pass over every config's design row."""
@@ -361,18 +360,13 @@ class GBTPredictor:
         return float(self.predict_final_loss_batch([config])[0])
 
     def predict_final_loss_batch(self, configs: list[RunConfig]) -> np.ndarray:
-        return self._chinchilla.predict_final_loss_batch(configs) + self._residuals(configs)
+        return self.baseline.predict_final_loss_batch(configs) + self._residuals(configs)
 
     def save(self, path: str) -> None:
-        import json
-
         header = {
-            "schema": self.schema.dump(),
-            "schema_hash": self.schema.schema_hash(),
+            **self.schema.to_saved(),
             "columns": design_column_names(self.schema),
-            "baselines": [f.to_dict() for _, f in sorted(
-                self.baselines.items(), key=lambda kv: (kv[0].source, kv[0].optimizer or "")
-            )],
+            "baselines": self.baseline.dump(),
         }
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("#losscast-gbt-1 " + json.dumps(header, sort_keys=True,
@@ -381,30 +375,28 @@ class GBTPredictor:
 
     @classmethod
     def load(cls, path: str) -> "GBTPredictor":
-        import json
-
         with open(path, "r", encoding="utf-8") as fh:
             first = fh.readline()
             if not first.startswith("#losscast-gbt-1 "):
                 raise SchemaError("not a losscast GBT dump")
             header = json.loads(first.split(" ", 1)[1])
             forest = BoostedForest.from_text(fh.read())
-        schema = Schema.from_dump(header["schema"])
-        if schema.schema_hash() != header["schema_hash"]:
-            raise SchemaError("GBT dump schema hash mismatch")
-        check_schema_compatible(schema)
-        baselines = {}
-        for d in header["baselines"]:
-            fit = ChinchillaFit.from_dict(d)
-            baselines[fit.scope] = fit
-        return cls(forest=forest, schema=schema, baselines=baselines)
+        schema = Schema.from_saved(header)
+        if header["columns"] != design_column_names(schema):
+            raise SchemaError("GBT dump columns do not match its schema's design")
+        if forest.n_features != len(header["columns"]):
+            raise SchemaError(
+                f"GBT forest has {forest.n_features} features, "
+                f"its header {len(header['columns'])} columns"
+            )
+        baseline = ChinchillaPredictor.from_dump(header["baselines"])
+        return cls(forest=forest, schema=schema, baseline=baseline)
 
 
 def fit_gbt(
     train_records: list[RunRecord],
     baselines: dict[Scope, ChinchillaFit],
     params: GBTParams = GBTParams(),
-    schema: Schema | None = None,
     all_records: list[RunRecord] | None = None,
 ) -> GBTPredictor:
     """Fit on residual targets of the given (already filtered, train-side)
@@ -412,12 +404,11 @@ def fit_gbt(
     configs encode; it never contributes training rows."""
     if not train_records:
         raise ValueError("empty dataset")
-    if schema is None:
-        schema = Schema.default().with_vocab_from(
-            r.config for r in (all_records if all_records is not None else train_records)
-        )
+    schema = Schema.default().with_vocab_from(
+        r.config for r in (all_records if all_records is not None else train_records)
+    )
     baseline = ChinchillaPredictor(baselines)
     x_num, x_cat, y = build_training_rows(train_records, baseline, schema, "final")
     x = one_hot_matrix(schema, x_num, x_cat)
     forest = fit_gbt_arrays(x, y, params)
-    return GBTPredictor(forest=forest, schema=schema, baselines=baselines)
+    return GBTPredictor(forest=forest, schema=schema, baseline=baseline)

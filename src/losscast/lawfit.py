@@ -18,14 +18,15 @@ billions of tokens throughout.
 
 from __future__ import annotations
 
+import glob
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError, ScopeError
+from .errors import FitError, SchemaError, ScopeError
 from .ingest import RunRecord, nd_key
 from .schema import RunConfig
 
@@ -73,6 +74,14 @@ class ChinchillaFit:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ChinchillaFit":
+        """A saved fit; raises SchemaError unless it is a Chinchilla fit whose
+        terms can be evaluated (E > 0, A and B >= 0, all finite)."""
+        if d.get("form") != "chinchilla":
+            raise SchemaError(f"baseline fit has form {d.get('form')!r}, not 'chinchilla'")
+        if not all(math.isfinite(d[k]) for k in ("E", "A", "B", "alpha", "beta")):
+            raise SchemaError("baseline fit has a non-finite parameter")
+        if d["E"] <= 0 or d["A"] < 0 or d["B"] < 0:
+            raise SchemaError("baseline fit needs E > 0 and A, B >= 0")
         return cls(
             e=d["E"], a=d["A"], b=d["B"], alpha=d["alpha"], beta=d["beta"],
             scope=Scope(d["scope"]["source"], d["scope"]["optimizer"]),
@@ -293,11 +302,7 @@ def _chinchilla_starts(ns, ds, losses) -> np.ndarray:
     return np.array(starts)
 
 
-def fit_chinchilla(
-    points: list[FrontierPoint],
-    scope: Scope | None = None,
-    delta: float = HUBER_DELTA,
-) -> ChinchillaFit:
+def fit_chinchilla(points: list[FrontierPoint], scope: Scope | None = None) -> ChinchillaFit:
     """Multi-start simplex fit of the Chinchilla form on frontier points.
 
     Requires at least 5 points spanning at least 2 distinct N and 2 distinct D.
@@ -316,7 +321,7 @@ def fit_chinchilla(
 
     log_n, log_d, log_loss = np.log(ns), np.log(ds), np.log(losses)
     xs, funs = _nelder_mead_lockstep(
-        lambda theta: _huber_objective(theta, log_n, log_d, log_loss, delta),
+        lambda theta: _huber_objective(theta, log_n, log_d, log_loss, HUBER_DELTA),
         _chinchilla_starts(ns, ds, losses),
     )
     best = int(np.argmin(np.where(np.isnan(funs), np.inf, funs)))
@@ -367,9 +372,7 @@ def fit_power_law(frontier: list[FrontierPoint], scope: Scope | None = None) -> 
 # -- scoped fitting and the baseline predictor -----------------------------------
 
 def fit_baselines(
-    train_runs: list[RunRecord],
-    per_optimizer: bool = False,
-    delta: float = HUBER_DELTA,
+    train_runs: list[RunRecord], per_optimizer: bool = False
 ) -> dict[Scope, ChinchillaFit]:
     """One Chinchilla fit per source (optionally per (source, optimizer)).
 
@@ -389,7 +392,7 @@ def fit_baselines(
     for scope in scopes:
         points = select_best_per_group(train_runs, scope)
         try:
-            fits[scope] = fit_chinchilla(points, scope=scope, delta=delta)
+            fits[scope] = fit_chinchilla(points, scope=scope)
         except FitError:
             continue
     if not fits:
@@ -401,13 +404,44 @@ class ChinchillaPredictor:
     """Configuration-agnostic baseline: predicts purely from (source, N, D).
 
     Lookup prefers an optimizer-scoped fit when one exists, then falls back
-    to the source-level fit.
+    to the source-level fit. It owns the baseline list that every checkpoint
+    and GBT dump carries (``dump``/``from_dump``) and reads a ``fit`` output
+    directory (``load``).
     """
 
     def __init__(self, fits: dict[Scope, ChinchillaFit]):
         if not fits:
             raise ScopeError("predictor needs at least one fit")
         self.fits = dict(fits)
+
+    def dump(self) -> list[dict]:
+        """The fits as dicts, sorted by (source, optimizer)."""
+        return [self.fits[s].to_dict() for s in sorted(
+            self.fits, key=lambda s: (s.source, s.optimizer or ""))]
+
+    @classmethod
+    def from_dump(cls, dumped: list[dict]) -> "ChinchillaPredictor":
+        """The inverse of ``dump``; raises SchemaError on a bad fit or on two
+        fits for one scope."""
+        fits: dict[Scope, ChinchillaFit] = {}
+        for d in dumped:
+            fit = ChinchillaFit.from_dict(d)
+            if fit.scope in fits:
+                raise SchemaError(f"two baseline fits for scope '{fit.scope.tag()}'")
+            fits[fit.scope] = fit
+        return cls(fits)
+
+    @classmethod
+    def load(cls, fit_dir: str | os.PathLike) -> "ChinchillaPredictor":
+        """The Chinchilla fits that ``save_fits`` wrote into ``fit_dir``."""
+        files = sorted(glob.glob(os.path.join(fit_dir, "chinchilla_*.json")))
+        if not files:
+            raise ValueError(f"no chinchilla fit files in {fit_dir}")
+        dumped = []
+        for path in files:
+            with open(path, "r", encoding="utf-8") as fh:
+                dumped.append(json.load(fh))
+        return cls.from_dump(dumped)
 
     def fit_for(self, config: RunConfig) -> ChinchillaFit:
         keyed = Scope(config.source, config.optimizer)

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import erf
 
-from .errors import ScopeError, TrainingError
+from .errors import TrainingError
 from .features import encode_batch
 from .ingest import DatasetSplits, RunRecord
 from .lawfit import ChinchillaFit, ChinchillaPredictor, Scope
@@ -397,12 +397,11 @@ def build_training_rows(
     baseline: ChinchillaPredictor,
     schema: Schema,
     target_kind: str = "final",
-    max_checkpoints: int = MAX_CURVE_CHECKPOINTS,
 ):
     """Feature arrays + residual targets for a record list.
 
     final mode: one row per record, target = final loss - baseline(N, D).
-    curve mode: up to ``max_checkpoints`` evenly spaced smoothed-curve samples
+    curve mode: up to ``MAX_CURVE_CHECKPOINTS`` evenly spaced smoothed-curve samples
     per record (plus a frac=1 row for curveless records), residuals taken
     against the baseline at the full (N, D).
     """
@@ -415,7 +414,7 @@ def build_training_rows(
             ys.append(r.final_loss - base)
         elif target_kind == "curve":
             if r.has_curve:
-                k = min(max_checkpoints, len(r.smoothed))
+                k = min(MAX_CURVE_CHECKPOINTS, len(r.smoothed))
                 idx = np.unique(np.round(np.linspace(0, len(r.smoothed) - 1, k)).astype(int))
                 total = r.config.total_steps
                 for i in idx:
@@ -506,29 +505,21 @@ def train(
     plan: TrainPlan,
     baselines: dict[Scope, ChinchillaFit],
     target_kind: str = "final",
-    schema: Schema | None = None,
     arch: Arch = Arch(),
-    max_checkpoints: int = MAX_CURVE_CHECKPOINTS,
 ) -> "TrainedPredictor":
     """Two-stage training on residual targets; baselines must come from
     splits.train only."""
     plan.validate()
-    if schema is None:
-        schema = Schema.default(include_frac=(target_kind == "curve"))
-        schema = schema.with_vocab_from(
-            r.config for r in splits.train + splits.id_val + splits.ood_val
-        )
-    baseline = ChinchillaPredictor(baselines)
-    data = build_training_rows(
-        splits.train, baseline, schema, target_kind, max_checkpoints
+    schema = Schema.default(include_frac=(target_kind == "curve")).with_vocab_from(
+        r.config for r in splits.train + splits.id_val + splits.ood_val
     )
+    baseline = ChinchillaPredictor(baselines)
+    data = build_training_rows(splits.train, baseline, schema, target_kind)
     if data[2].size == 0:
         raise TrainingError("no usable training rows")
     val = None
     if splits.id_val:
-        val = build_training_rows(
-            splits.id_val, baseline, schema, target_kind, max_checkpoints
-        )
+        val = build_training_rows(splits.id_val, baseline, schema, target_kind)
 
     model = RegressorModel(schema, arch, seed=plan.seed)
     model.set_standardization(data[0])
@@ -546,7 +537,7 @@ def train(
         _run_stage(model, plan.stage2, plan, list(model.params), data, rng, report,
                    "stage2", val)
     return TrainedPredictor(
-        model=model, baselines=dict(baselines), target_kind=target_kind, report=report
+        model=model, baseline=baseline, target_kind=target_kind, report=report
     )
 
 
@@ -555,13 +546,12 @@ def train(
 class TrainedPredictor:
     """Regressor + its Chinchilla baselines; predicts losses, not residuals."""
 
-    def __init__(self, model: RegressorModel, baselines: dict[Scope, ChinchillaFit],
+    def __init__(self, model: RegressorModel, baseline: ChinchillaPredictor,
                  target_kind: str, report: TrainReport):
         self.model = model
-        self.baselines = baselines
+        self.baseline = baseline
         self.target_kind = target_kind
         self.report = report
-        self._chinchilla = ChinchillaPredictor(baselines)
 
     def _residuals(self, configs: list[RunConfig], fracs: list) -> np.ndarray:
         """One forward pass over every (config, frac) row."""
@@ -584,7 +574,7 @@ class TrainedPredictor:
     def predict_final_loss_batch(self, configs: list[RunConfig]) -> np.ndarray:
         frac = 1.0 if self.target_kind == "curve" else None
         res = self._residuals(configs, [frac] * len(configs))
-        return self._chinchilla.predict_final_loss_batch(configs) + res
+        return self.baseline.predict_final_loss_batch(configs) + res
 
     def predict_curve(self, config: RunConfig, fracs) -> list[tuple[int, float]]:
         if self.target_kind != "curve":
@@ -593,7 +583,7 @@ class TrainedPredictor:
         if any(not 0.0 < f <= 1.0 for f in fracs):
             raise ValueError("fracs must lie in (0, 1]")
         res = self._residuals([config] * len(fracs), fracs)
-        base = self._chinchilla.predict_final_loss(config)
+        base = self.baseline.predict_final_loss(config)
         return [
             (int(round(f * config.total_steps)), float(base + r))
             for f, r in zip(fracs, res)
@@ -605,17 +595,14 @@ class TrainedPredictor:
         """Deterministic checkpoint: identical predictor -> identical bytes."""
         manifest = {
             "format": CHECKPOINT_FORMAT,
-            "schema": self.model.schema.dump(),
-            "schema_hash": self.model.schema.schema_hash(),
+            **self.model.schema.to_saved(),
             "arch": dataclasses.asdict(self.model.arch),
             "rng_seed": self.model.rng_seed,
             "target_kind": self.target_kind,
             "n_params": self.model.n_params(),
             "param_keys": sorted(self.model.params),
             "buffer_keys": sorted(self.model.buffers),
-            "baselines": [f.to_dict() for _, f in sorted(
-                self.baselines.items(), key=lambda kv: (kv[0].source, kv[0].optimizer or "")
-            )],
+            "baselines": self.baseline.dump(),
             "report": self.report.to_dict(),
         }
         stamp = (1980, 1, 1, 0, 0, 0)
@@ -640,10 +627,8 @@ class TrainedPredictor:
             manifest = json.loads(zf.read("manifest.json"))
             if manifest.get("format") != CHECKPOINT_FORMAT:
                 raise SchemaError(f"unknown checkpoint format {manifest.get('format')!r}")
-            schema = Schema.from_dump(manifest["schema"])
-            if schema.schema_hash() != manifest["schema_hash"]:
-                raise SchemaError("checkpoint schema hash mismatch")
-            check_schema_compatible(schema)
+            schema = Schema.from_saved(manifest)
+            baseline = ChinchillaPredictor.from_dump(manifest["baselines"])
             arch = Arch(**manifest["arch"])
             shapes, buffer_shapes = parameter_shapes(schema, arch)
             model = RegressorModel.from_arrays(
@@ -651,14 +636,10 @@ class TrainedPredictor:
                 params=_read_blocks(zf, "params", manifest["param_keys"], shapes),
                 buffers=_read_blocks(zf, "buffers", manifest["buffer_keys"], buffer_shapes),
             )
-            baselines = {}
-            for d in manifest["baselines"]:
-                fit = ChinchillaFit.from_dict(d)
-                baselines[fit.scope] = fit
             report = TrainReport(**manifest["report"])
             report.train_mse = [tuple(x) for x in report.train_mse]
             report.val_mae = [tuple(x) for x in report.val_mae]
-        return cls(model=model, baselines=baselines,
+        return cls(model=model, baseline=baseline,
                    target_kind=manifest["target_kind"], report=report)
 
 
@@ -683,19 +664,3 @@ def _read_blocks(zf: zipfile.ZipFile, folder: str, keys: list[str],
         out[key] = arr
     return out
 
-
-def check_schema_compatible(schema: Schema) -> None:
-    """A saved model (checkpoint or GBT dump) loads only if its field table
-    (names, kinds, scale factors) matches the current one; vocabularies may
-    extend the defaults."""
-    current = Schema.default(include_frac=schema.include_frac)
-    got = [(s.name, s.kind, s.scale_factor) for s in schema.specs]
-    want = [(s.name, s.kind, s.scale_factor) for s in current.specs]
-    if got != want:
-        raise SchemaError(
-            "saved field table does not match this build's schema "
-            f"(version {schema.version} vs {current.version})"
-        )
-    for s, cur in zip(schema.specs, current.specs):
-        if s.kind == CATEGORICAL and tuple(s.vocabulary[: len(cur.vocabulary)]) != cur.vocabulary:
-            raise SchemaError(f"saved vocabulary for '{s.name}' conflicts with this build")

@@ -501,6 +501,31 @@ class Schema:
         blob = json.dumps(self.dump(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
+    def to_saved(self) -> dict:
+        """The schema entries of a checkpoint manifest or a GBT dump header."""
+        return {"schema": self.dump(), "schema_hash": self.schema_hash()}
+
+    @classmethod
+    def from_saved(cls, saved: dict) -> "Schema":
+        """The schema of a checkpoint manifest or GBT dump header. It loads only
+        if it matches its saved hash and this build's field table (names, kinds,
+        scale factors); vocabularies may extend the defaults."""
+        schema = cls.from_dump(saved["schema"])
+        if schema.schema_hash() != saved["schema_hash"]:
+            raise SchemaError("saved schema hash mismatch")
+        current = cls.default(include_frac=schema.include_frac)
+        got = [(s.name, s.kind, s.scale_factor) for s in schema.specs]
+        want = [(s.name, s.kind, s.scale_factor) for s in current.specs]
+        if got != want:
+            raise SchemaError(
+                "saved field table does not match this build's schema "
+                f"(version {schema.version} vs {current.version})"
+            )
+        for s, cur in zip(schema.specs, current.specs):
+            if s.kind == CATEGORICAL and s.vocabulary[: len(cur.vocabulary)] != cur.vocabulary:
+                raise SchemaError(f"saved vocabulary for '{s.name}' conflicts with this build")
+        return schema
+
 
 DEFAULT_SCHEMA = Schema.default()
 

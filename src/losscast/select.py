@@ -15,7 +15,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,6 @@ class SweepGrid:
 
     axes: list[tuple[str, list]]
     base_config: RunConfig
-    axis_scales: dict = field(default_factory=dict)  # field -> "linear" | "log"
 
     def __post_init__(self):
         names = [name for name, _ in self.axes]
@@ -56,8 +55,7 @@ class SweepGrid:
         """Remove an axis and pin its field on the base config."""
         axes = [(n, v) for n, v in self.axes if n != name]
         base = dataclasses.replace(self.base_config, **{name: value})
-        scales = {k: v for k, v in self.axis_scales.items() if k != name}
-        return SweepGrid(axes=axes, base_config=base, axis_scales=scales)
+        return SweepGrid(axes=axes, base_config=base)
 
     @classmethod
     def lr_bs(
@@ -75,7 +73,6 @@ class SweepGrid:
                 ("batch_size", [float(v) for v in np.geomspace(*bs_range, n_bs)]),
             ],
             base_config=base_config,
-            axis_scales={"peak_lr": "log", "batch_size": "log"},
         )
 
 
@@ -250,7 +247,6 @@ def recommend(
         base_config=dataclasses.replace(
             grid.base_config, model_size_n=float(n), data_size_d=float(d)
         ),
-        axis_scales=dict(grid.axis_scales),
     )
     for name, value in (constraints or {}).items():
         grid = grid.fix(name, value)

@@ -309,12 +309,24 @@ def test_gbt_load_checks_the_field_table(tmp_path):
     path = tmp_path / "model.gbt"
     predictor.save(str(path))
     head, body = path.read_text().split("\n", 1)
-    header = json.loads(head.split(" ", 1)[1])
-    # a field table this build does not know, with a hash that matches it
-    field = next(f for f in header["schema"]["fields"] if f["name"] == "peak_lr")
-    field["scale_factor"] = field["scale_factor"] * 2.0
-    header["schema_hash"] = Schema.from_dump(header["schema"]).schema_hash()
+    n_cols = len(json.loads(head.split(" ", 1)[1])["columns"])
+
+    def rescale_peak_lr(header):
+        # a field table this build does not know, with a hash that matches it
+        field = next(f for f in header["schema"]["fields"] if f["name"] == "peak_lr")
+        field["scale_factor"] = field["scale_factor"] * 2.0
+        header["schema_hash"] = Schema.from_dump(header["schema"]).schema_hash()
+
+    def swap_columns(header):
+        header["columns"][:2] = header["columns"][1::-1]
+
+    wide_forest = body.replace(f"n_features={n_cols} ", f"n_features={n_cols + 7} ", 1)
+    assert wide_forest != body
     bad = tmp_path / "bad.gbt"
-    bad.write_text("#losscast-gbt-1 " + json.dumps(header) + "\n" + body)
-    with pytest.raises(SchemaError):
-        GBTPredictor.load(str(bad))
+    for edit, forest in ((rescale_peak_lr, body), (swap_columns, body),
+                         (lambda header: None, wide_forest)):
+        header = json.loads(head.split(" ", 1)[1])
+        edit(header)
+        bad.write_text("#losscast-gbt-1 " + json.dumps(header) + "\n" + forest)
+        with pytest.raises(SchemaError):
+            GBTPredictor.load(str(bad))

@@ -1,14 +1,19 @@
 """Scaling-law fitting: the Chinchilla form, frontier power laws, baselines."""
 
 import functools
+import json
 import math
+import zipfile
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
 from losscast import lawfit
-from losscast.errors import FitError, ScopeError
+from losscast.cli import load_predictor
+from losscast.errors import FitError, SchemaError, ScopeError
+from losscast.features import design_column_names
+from losscast.gbt import BoostedForest, GBTPredictor
 from losscast.ingest import record_from_obj
 from losscast.lawfit import (
     HUBER_DELTA,
@@ -28,6 +33,8 @@ from losscast.lawfit import (
     save_fits,
     select_best_per_group,
 )
+from losscast.regressor import Arch, RegressorModel, TrainedPredictor, TrainReport
+from losscast.schema import Schema
 from conftest import make_config
 
 
@@ -353,3 +360,71 @@ def test_save_load_round_trip(tmp_path):
     for scope, fit in fits.items():
         got = loaded[scope]
         assert got.to_dict() == fit.to_dict()
+    assert ChinchillaPredictor.load(tmp_path).dump() == ChinchillaPredictor(fits).dump()
+
+
+# -- saved baselines -------------------------------------------------------------
+
+SAVED_FIT = ChinchillaFit(e=1.7, a=6.2, b=1.8, alpha=0.32, beta=0.28,
+                          scope=Scope("synthetic")).to_dict()
+
+
+def save_model(kind, path, baselines):
+    """A neural checkpoint, a GBT dump or a fit directory that carries the
+    baseline list ``baselines``; the models' residuals are exactly zero."""
+    schema = Schema.default()
+    baseline = ChinchillaPredictor.from_dump([SAVED_FIT])
+    if kind == "fits":
+        path.mkdir()
+        for i, d in enumerate(baselines):
+            (path / f"chinchilla_{i}.json").write_text(json.dumps(d))
+    elif kind == "zip":
+        model = RegressorModel(schema, Arch(d_emb=2, d_hid=2, trunk_layers=1, trunk_width=2))
+        TrainedPredictor(model, baseline, "final", TrainReport()).save(str(path))
+        with zipfile.ZipFile(path) as zf:
+            entries = {name: zf.read(name) for name in zf.namelist()}
+        manifest = json.loads(entries["manifest.json"])
+        manifest["baselines"] = baselines
+        entries["manifest.json"] = json.dumps(manifest).encode()
+        with zipfile.ZipFile(path, "w") as zf:
+            for name, payload in entries.items():
+                zf.writestr(name, payload)
+    else:
+        forest = BoostedForest(base_score=0.0, learning_rate=0.1,
+                               n_features=len(design_column_names(schema)))
+        GBTPredictor(forest, schema, baseline).save(str(path))
+        head, body = path.read_text().split("\n", 1)
+        header = json.loads(head.split(" ", 1)[1])
+        header["baselines"] = baselines
+        path.write_text("#losscast-gbt-1 " + json.dumps(header) + "\n" + body)
+    return str(path)
+
+
+BAD_BASELINES = {
+    "power-law form": [{**SAVED_FIT, "form": "power_law"}],
+    "negative E": [{**SAVED_FIT, "E": -1.0}],
+    "zero E": [{**SAVED_FIT, "E": 0.0}],
+    "infinite E": [{**SAVED_FIT, "E": math.inf}],
+    "negative A": [{**SAVED_FIT, "A": -6.2}],
+    "nan A": [{**SAVED_FIT, "A": math.nan}],
+    "negative B": [{**SAVED_FIT, "B": -1.8}],
+    "infinite B": [{**SAVED_FIT, "B": math.inf}],
+    "nan alpha": [{**SAVED_FIT, "alpha": math.nan}],
+    "infinite beta": [{**SAVED_FIT, "beta": -math.inf}],
+    "duplicate scope": [SAVED_FIT, {**SAVED_FIT, "E": 3.7}],
+}
+
+
+@pytest.mark.parametrize("kind", ["zip", "gbt", "fits"])
+@pytest.mark.parametrize("case", sorted(BAD_BASELINES))
+def test_bad_saved_baselines_fail_to_load(tmp_path, kind, case):
+    path = save_model(kind, tmp_path / f"model.{kind}", BAD_BASELINES[case])
+    with pytest.raises(SchemaError):
+        load_predictor(path)
+
+
+@pytest.mark.parametrize("kind", ["zip", "gbt", "fits"])
+def test_saved_baselines_may_drop_a_term(tmp_path, kind):
+    path = save_model(kind, tmp_path / f"model.{kind}", [{**SAVED_FIT, "A": 0.0, "B": 0.0}])
+    cfg = make_config(source="synthetic", model_size_n=100.0, data_size_d=10.0)
+    assert load_predictor(path).predict_final_loss(cfg) == SAVED_FIT["E"]

@@ -17,6 +17,7 @@ from losscast.ingest import DatasetSplits, record_from_obj
 from losscast.lawfit import ChinchillaFit, ChinchillaPredictor, Scope
 from losscast.features import encode_batch
 from losscast.regressor import (
+    MAX_CURVE_CHECKPOINTS,
     Arch,
     RegressorModel,
     StagePlan,
@@ -253,8 +254,8 @@ def test_curve_rows_subsample_the_smoothed_curve():
     rec = curve_rec(n_points=500)
     schema = Schema.default(include_frac=True)
     x_num, x_cat, y = build_training_rows([rec], ChinchillaPredictor(baselines),
-                                          schema, "curve", max_checkpoints=30)
-    assert y.shape[0] == 30
+                                          schema, "curve")
+    assert y.shape[0] == MAX_CURVE_CHECKPOINTS == 30
     fr = x_num[:, -1]  # frac is the last numerical field
     assert fr[0] > 0.0 and fr[-1] == pytest.approx(1.0)
     assert np.all(np.diff(fr) > 0)
