@@ -42,7 +42,6 @@ from .lawfit import (
     fit_baselines,
     fit_chinchilla,
     fit_power_law,
-    load_fits,
     predict_chinchilla,
     residual_target,
     save_fits,

@@ -74,17 +74,22 @@ class ChinchillaFit:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ChinchillaFit":
-        """A saved fit; raises SchemaError unless it is a Chinchilla fit whose
-        terms can be evaluated (E > 0, A and B >= 0, all finite)."""
+        """A saved fit; raises SchemaError unless it is a scoped Chinchilla fit
+        whose terms are finite numbers that can be evaluated (E > 0, A, B >= 0)."""
         if d.get("form") != "chinchilla":
             raise SchemaError(f"baseline fit has form {d.get('form')!r}, not 'chinchilla'")
-        if not all(math.isfinite(d[k]) for k in ("E", "A", "B", "alpha", "beta")):
-            raise SchemaError("baseline fit has a non-finite parameter")
+        if not all(isinstance(d.get(k), (int, float)) and not isinstance(d[k], bool)
+                   and math.isfinite(d[k]) for k in ("E", "A", "B", "alpha", "beta")):
+            raise SchemaError("baseline fit needs finite numbers E, A, B, alpha and beta")
+        scope = d.get("scope")
+        if not (isinstance(scope, dict) and isinstance(scope.get("source"), str)
+                and isinstance(scope.get("optimizer"), (str, type(None)))):
+            raise SchemaError("baseline fit needs a scope with a source name")
         if d["E"] <= 0 or d["A"] < 0 or d["B"] < 0:
             raise SchemaError("baseline fit needs E > 0 and A, B >= 0")
         return cls(
             e=d["E"], a=d["A"], b=d["B"], alpha=d["alpha"], beta=d["beta"],
-            scope=Scope(d["scope"]["source"], d["scope"]["optimizer"]),
+            scope=Scope(scope["source"], scope.get("optimizer")),
             objective=d.get("objective", math.nan),
             n_points=d.get("n_points", 0),
         )
@@ -113,15 +118,6 @@ class PowerLawFit:
             "scope": None if self.scope is None else
                 {"source": self.scope.source, "optimizer": self.scope.optimizer},
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PowerLawFit":
-        scope = data.get("scope")
-        return cls(
-            c=data["c"], alpha_lr=data["alpha_lr"], beta_lr=data["beta_lr"],
-            d=data["d"], gamma_bs=data["gamma_bs"],
-            scope=None if scope is None else Scope(scope["source"], scope["optimizer"]),
-        )
 
 
 @dataclass
@@ -482,17 +478,3 @@ def save_fits(fits, out_dir: str | os.PathLike) -> list[str]:
             fh.write("\n")
         paths.append(path)
     return paths
-
-
-def load_fits(paths) -> dict[Scope, ChinchillaFit | PowerLawFit]:
-    fits: dict[Scope, ChinchillaFit | PowerLawFit] = {}
-    for path in paths:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        fit: ChinchillaFit | PowerLawFit
-        if data.get("form") == "power_law":
-            fit = PowerLawFit.from_dict(data)
-        else:
-            fit = ChinchillaFit.from_dict(data)
-        fits[fit.scope or Scope("unscoped")] = fit
-    return fits
