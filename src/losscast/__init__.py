@@ -13,11 +13,8 @@ from .errors import (
 from .schema import (
     SCHEMA_VERSION,
     FieldSpec,
-    FeatureVector,
     RunConfig,
     Schema,
-    canonicalize,
-    decanonicalize,
 )
 from .ingest import (
     DatasetSplits,
@@ -43,7 +40,6 @@ from .lawfit import (
     fit_chinchilla,
     fit_power_law,
     predict_chinchilla,
-    residual_target,
     save_fits,
     select_best_per_group,
 )

@@ -1,33 +1,35 @@
-"""Feature-vector batching: schema-ordered arrays for model consumption."""
+"""Config batching: schema-ordered arrays for model consumption."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .schema import CATEGORICAL, NUMERICAL, FeatureVector, Schema
+from .schema import CATEGORICAL, NUMERICAL, RunConfig, Schema
 
 
-def encode_batch(schema: Schema, fvs: list[FeatureVector]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack feature vectors into (numerical, categorical) arrays.
+def encode_batch(schema: Schema, configs: list[RunConfig],
+                 fracs: list[float] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Encode configurations into (numerical, categorical) arrays.
+
+    This is the one path from a configuration to model inputs. ``fracs`` gives
+    each row's training-progress ratio on a frac schema. ``None`` is a
+    final-loss query: every row gets frac 1.0 on a frac schema, and none on
+    any other.
 
     Returns X_num (n, n_numerical) float64 and X_cat (n, n_categorical) int64,
     columns in schema order within each kind.
     """
+    if fracs is None:
+        fracs = [1.0 if schema.include_frac else None] * len(configs)
+    rows = [schema.canonicalize(c, frac=f) for c, f in zip(configs, fracs, strict=True)]
+    # categorical indices are small integers, exact in float64
+    slots = np.array(rows, dtype=np.float64).reshape(len(rows), len(schema.specs))
     num_idx = [i for i, s in enumerate(schema.specs) if s.kind == NUMERICAL]
     cat_idx = [i for i, s in enumerate(schema.specs) if s.kind == CATEGORICAL]
-    n = len(fvs)
-    x_num = np.empty((n, len(num_idx)), dtype=np.float64)
-    x_cat = np.empty((n, len(cat_idx)), dtype=np.int64)
-    names = tuple(s.name for s in schema.specs)
-    for r, fv in enumerate(fvs):
-        if fv.names != names:
-            raise ValueError("feature vector does not match the schema")
-        slots = fv.slots
-        for j, i in enumerate(num_idx):
-            x_num[r, j] = slots[i]
-        for j, i in enumerate(cat_idx):
-            x_cat[r, j] = slots[i]
-    return x_num, x_cat
+    # np.take returns C-ordered copies, where a column fancy-index would not;
+    # BLAS may round a matmul differently on another memory layout
+    return (np.take(slots, num_idx, axis=1),
+            np.take(slots, cat_idx, axis=1).astype(np.int64))
 
 
 def one_hot_matrix(schema: Schema, x_num: np.ndarray, x_cat: np.ndarray) -> np.ndarray:

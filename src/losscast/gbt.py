@@ -348,13 +348,8 @@ class GBTPredictor:
 
     def _residuals(self, configs: list[RunConfig]) -> np.ndarray:
         """One forest pass over every config's design row."""
-        frac = 1.0 if self.schema.include_frac else None
-        fvs = [self.schema.canonicalize(c, frac=frac) for c in configs]
-        x_num, x_cat = encode_batch(self.schema, fvs)
+        x_num, x_cat = encode_batch(self.schema, configs)
         return self.forest.predict(one_hot_matrix(self.schema, x_num, x_cat))
-
-    def predict_residual(self, config: RunConfig) -> float:
-        return float(self._residuals([config])[0])
 
     def predict_final_loss(self, config: RunConfig) -> float:
         return float(self.predict_final_loss_batch([config])[0])

@@ -67,9 +67,6 @@ class ParseResult:
     records: list[RunRecord] = field(default_factory=list)
     malformed: list[tuple[int, str]] = field(default_factory=list)
 
-    def __iter__(self):
-        return iter(self.records)
-
     def __len__(self):
         return len(self.records)
 

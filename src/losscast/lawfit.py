@@ -174,11 +174,6 @@ def predict_chinchilla(fit: ChinchillaFit, n, d):
     return float(out) if out.ndim == 0 else out
 
 
-def residual_target(p, fit: ChinchillaFit, n, d):
-    """Observed loss minus the baseline prediction at (N, D)."""
-    return p - predict_chinchilla(fit, n, d)
-
-
 def _huber_objective(theta, log_n, log_d, log_loss, delta) -> np.ndarray:
     """Huber loss of the log-space Chinchilla form, one value per row of theta.
 

@@ -39,7 +39,7 @@ from .errors import TrainingError
 from .features import encode_batch
 from .ingest import DatasetSplits, RunRecord
 from .lawfit import ChinchillaFit, ChinchillaPredictor, Scope
-from .schema import CATEGORICAL, NUMERICAL, RunConfig, Schema, SchemaError
+from .schema import NUMERICAL, RunConfig, Schema, SchemaError
 
 CHECKPOINT_FORMAT = "losscast-checkpoint-2"
 MAX_CURVE_CHECKPOINTS = 30
@@ -131,11 +131,10 @@ def parameter_shapes(schema: Schema, arch: Arch) -> tuple[dict, dict]:
     """Shapes of every parameter and buffer block of a model over this schema
     and arch, keyed as in ``RegressorModel.params`` and ``.buffers``."""
     de, dh, w = arch.d_emb, arch.d_hid, arch.trunk_width
-    fn = sum(1 for s in schema.specs if s.kind == NUMERICAL)
+    fn = len(schema.numerical_fields())
     shapes: dict[str, tuple] = {}
-    for s in schema.specs:
-        if s.kind == CATEGORICAL:
-            shapes[f"emb_{s.name}"] = (len(s.vocabulary), de)
+    for s in schema.categorical_fields():
+        shapes[f"emb_{s.name}"] = (len(s.vocabulary), de)
     shapes.update(num_w1=(fn, dh), num_b1=(fn, dh), num_w2=(fn, dh, de), num_b2=(fn, de))
     d_in = len(schema.specs) * de
     for i in range(arch.trunk_layers):
@@ -196,8 +195,8 @@ class RegressorModel:
         self.schema = schema
         self.arch = arch
         self.rng_seed = seed
-        self.num_fields = [s for s in schema.specs if s.kind == NUMERICAL]
-        self.cat_fields = [s for s in schema.specs if s.kind == CATEGORICAL]
+        self.num_fields = schema.numerical_fields()
+        self.cat_fields = schema.categorical_fields()
         # schema-order layout of the trunk input: ("num", j) or ("cat", k) per field
         self.layout: list[tuple[str, int]] = []
         nj = ck = 0
@@ -405,12 +404,13 @@ def build_training_rows(
     per record (plus a frac=1 row for curveless records), residuals taken
     against the baseline at the full (N, D).
     """
-    fvs, ys = [], []
+    configs, fracs, ys = [], [], []
     records = [r for r in records if r.final_loss is not None]
     bases = baseline.predict_final_loss_batch([r.config for r in records])
     for r, base in zip(records, bases):
         if target_kind == "final":
-            fvs.append(schema.canonicalize(r.config))
+            configs.append(r.config)
+            fracs.append(None)
             ys.append(r.final_loss - base)
         elif target_kind == "curve":
             if r.has_curve:
@@ -418,15 +418,16 @@ def build_training_rows(
                 idx = np.unique(np.round(np.linspace(0, len(r.smoothed) - 1, k)).astype(int))
                 total = r.config.total_steps
                 for i in idx:
-                    frac = min(1.0, max(r.steps[i] / total, 1e-9))
-                    fvs.append(schema.canonicalize(r.config, frac=frac))
+                    configs.append(r.config)
+                    fracs.append(min(1.0, max(r.steps[i] / total, 1e-9)))
                     ys.append(r.smoothed[i] - base)
             else:
-                fvs.append(schema.canonicalize(r.config, frac=1.0))
+                configs.append(r.config)
+                fracs.append(1.0)
                 ys.append(r.final_loss - base)
         else:
             raise ValueError(f"unknown target_kind '{target_kind}'")
-    x_num, x_cat = encode_batch(schema, fvs)
+    x_num, x_cat = encode_batch(schema, configs, fracs)
     return x_num, x_cat, np.asarray(ys, dtype=np.float64)
 
 
@@ -536,52 +537,41 @@ def train(
     if not report.aborted:
         _run_stage(model, plan.stage2, plan, list(model.params), data, rng, report,
                    "stage2", val)
-    return TrainedPredictor(
-        model=model, baseline=baseline, target_kind=target_kind, report=report
-    )
+    return TrainedPredictor(model=model, baseline=baseline, report=report)
 
 
 # -- the trained predictor -----------------------------------------------------
 
+def _target_kind(schema: Schema) -> str:
+    """A model over a frac schema predicts curves; any other, final losses."""
+    return "curve" if schema.include_frac else "final"
+
+
 class TrainedPredictor:
-    """Regressor + its Chinchilla baselines; predicts losses, not residuals."""
+    """Regressor + its Chinchilla baselines; predicts losses, not residuals.
+    Its kind (curve or final loss) is its schema's."""
 
     def __init__(self, model: RegressorModel, baseline: ChinchillaPredictor,
-                 target_kind: str, report: TrainReport):
+                 report: TrainReport):
         self.model = model
         self.baseline = baseline
-        self.target_kind = target_kind
         self.report = report
 
-    def _residuals(self, configs: list[RunConfig], fracs: list) -> np.ndarray:
+    def _residuals(self, configs: list[RunConfig], fracs: list | None = None) -> np.ndarray:
         """One forward pass over every (config, frac) row."""
-        schema = self.model.schema
-        fvs = [schema.canonicalize(c, frac=f) for c, f in zip(configs, fracs)]
-        x_num, x_cat = encode_batch(schema, fvs)
+        x_num, x_cat = encode_batch(self.model.schema, configs, fracs)
         return self.model.forward_batch(x_num, x_cat)
-
-    # residual-space queries
-    def predict_residual(self, config: RunConfig, frac: float | None = None) -> float:
-        if self.target_kind == "curve":
-            frac = 1.0 if frac is None else frac
-        elif frac is not None:
-            raise ValueError("final-loss model takes no frac")
-        return float(self._residuals([config], [frac])[0])
 
     def predict_final_loss(self, config: RunConfig) -> float:
         return float(self.predict_final_loss_batch([config])[0])
 
     def predict_final_loss_batch(self, configs: list[RunConfig]) -> np.ndarray:
-        frac = 1.0 if self.target_kind == "curve" else None
-        res = self._residuals(configs, [frac] * len(configs))
-        return self.baseline.predict_final_loss_batch(configs) + res
+        return self.baseline.predict_final_loss_batch(configs) + self._residuals(configs)
 
     def predict_curve(self, config: RunConfig, fracs) -> list[tuple[int, float]]:
-        if self.target_kind != "curve":
+        if not self.model.schema.include_frac:
             raise ValueError("model was not trained for curve prediction")
         fracs = [float(f) for f in fracs]
-        if any(not 0.0 < f <= 1.0 for f in fracs):
-            raise ValueError("fracs must lie in (0, 1]")
         res = self._residuals([config] * len(fracs), fracs)
         base = self.baseline.predict_final_loss(config)
         return [
@@ -598,7 +588,7 @@ class TrainedPredictor:
             **self.model.schema.to_saved(),
             "arch": dataclasses.asdict(self.model.arch),
             "rng_seed": self.model.rng_seed,
-            "target_kind": self.target_kind,
+            "target_kind": _target_kind(self.model.schema),
             "n_params": self.model.n_params(),
             "param_keys": sorted(self.model.params),
             "buffer_keys": sorted(self.model.buffers),
@@ -628,6 +618,11 @@ class TrainedPredictor:
             if manifest.get("format") != CHECKPOINT_FORMAT:
                 raise SchemaError(f"unknown checkpoint format {manifest.get('format')!r}")
             schema = Schema.from_saved(manifest)
+            if manifest.get("target_kind") != _target_kind(schema):
+                raise SchemaError(
+                    f"checkpoint target_kind {manifest.get('target_kind')!r} does not "
+                    f"match its schema, which makes a {_target_kind(schema)!r} model"
+                )
             baseline = ChinchillaPredictor.from_dump(manifest["baselines"])
             arch = Arch(**manifest["arch"])
             shapes, buffer_shapes = parameter_shapes(schema, arch)
@@ -639,8 +634,7 @@ class TrainedPredictor:
             report = TrainReport(**manifest["report"])
             report.train_mse = [tuple(x) for x in report.train_mse]
             report.val_mae = [tuple(x) for x in report.val_mae]
-        return cls(model=model, baseline=baseline,
-                   target_kind=manifest["target_kind"], report=report)
+        return cls(model=model, baseline=baseline, report=report)
 
 
 def _read_blocks(zf: zipfile.ZipFile, folder: str, keys: list[str],

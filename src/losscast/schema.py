@@ -182,35 +182,6 @@ class FieldSpec:
             raise SchemaError(f"categorical field '{self.name}' needs a vocabulary")
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """Encoded configuration: one slot per schema field, in schema order.
-
-    Numerical slots are scaled floats; categorical slots are vocabulary
-    indices. When the schema carries the training-progress field, its (raw)
-    ratio sits in the last slot.
-    """
-
-    names: tuple[str, ...]
-    slots: tuple
-
-    @property
-    def frac(self) -> float | None:
-        if self.names and self.names[-1] == "frac":
-            return float(self.slots[-1])
-        return None
-
-    def slot(self, name: str):
-        return self.slots[self.names.index(name)]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"names": list(self.names), "slots": list(self.slots)},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-
-
 def _cat(name, *vocab):
     return FieldSpec(name, CATEGORICAL, vocabulary=tuple(vocab))
 
@@ -296,11 +267,13 @@ class Schema:
 
     # -- encoding ----------------------------------------------------------
 
-    def canonicalize(self, config: RunConfig, frac: float | None = None) -> FeatureVector:
-        """Encode a configuration into the fixed slot layout.
+    def canonicalize(self, config: RunConfig, frac: float | None = None) -> tuple:
+        """Encode a configuration into its slots, one per field in schema order.
 
-        ``frac`` (ratio of total training steps completed) is required exactly
-        when the schema was built with ``include_frac``.
+        Numerical slots are scaled floats; categorical slots are vocabulary
+        indices. ``frac`` (ratio of total training steps completed) is
+        required exactly when the schema was built with ``include_frac``, and
+        its raw ratio sits in the last slot.
         """
         config.validate()
         if self.include_frac:
@@ -345,7 +318,7 @@ class Schema:
                 values[f"extra_key_{i}"] = NONE_TOKEN
                 values[f"extra_val_{i}"] = 0.0
 
-        names, slots = [], []
+        slots = []
         for s in self.specs:
             v = values[s.name]
             if s.kind == NUMERICAL:
@@ -357,8 +330,7 @@ class Schema:
                     raise SchemaError(
                         f"unknown value '{v}' for categorical field '{s.name}'"
                     ) from None
-            names.append(s.name)
-        return FeatureVector(names=tuple(names), slots=tuple(slots))
+        return tuple(slots)
 
     def _split_extras(self, config: RunConfig):
         known: dict[str, object] = {}
@@ -378,65 +350,6 @@ class Schema:
                 f"too many unknown optimizer extras ({len(unknown)} > {N_EXTRA_SLOTS})"
             )
         return known, unknown
-
-    # -- decoding ----------------------------------------------------------
-
-    def decanonicalize(self, fv: FeatureVector) -> RunConfig:
-        """Invert canonicalize. Unknown optimizer extras come back under their
-        hash-bucket names (the original key text is not recoverable)."""
-        if fv.names != tuple(s.name for s in self.specs):
-            raise SchemaError("feature vector does not match this schema")
-        raw: dict[str, object] = {}
-        for s, slot in zip(self.specs, fv.slots):
-            if s.kind == NUMERICAL:
-                raw[s.name] = float(slot) / s.scale_factor
-            else:
-                idx = int(slot)
-                if not 0 <= idx < len(s.vocabulary):
-                    raise SchemaError(
-                        f"categorical index {idx} out of vocabulary for '{s.name}'"
-                    )
-                raw[s.name] = s.vocabulary[idx]
-
-        beta1 = beta2 = None
-        if raw["beta_pair"] != NONE_TOKEN:
-            b1, b2 = str(raw["beta_pair"]).split(",")
-            beta1, beta2 = float(b1), float(b2)
-        extras: dict[str, object] = {}
-        if raw["muon_adam_lr"] != 0.0:
-            extras["adam_lr"] = raw["muon_adam_lr"]
-        if raw["soap_block_size"] != 0.0:
-            extras["block_size"] = raw["soap_block_size"]
-        if raw["kron_precond_lr"] != NONE_TOKEN:
-            extras["precond_lr"] = float(str(raw["kron_precond_lr"]))
-        for i in range(N_EXTRA_SLOTS):
-            key = raw[f"extra_key_{i}"]
-            if key != NONE_TOKEN:
-                extras[str(key)] = raw[f"extra_val_{i}"]
-
-        return RunConfig(
-            source=str(raw["source"]),
-            model_size_n=raw["model_size_n"],
-            data_size_d=raw["data_size_d"],
-            total_steps=raw["total_steps"],
-            optimizer=str(raw["optimizer"]),
-            peak_lr=raw["peak_lr"],
-            batch_size=raw["batch_size"],
-            num_layers=raw["num_layers"],
-            num_heads=raw["num_heads"],
-            hidden_dim=raw["hidden_dim"],
-            lr_schedule=None if raw["lr_schedule"] == NONE_TOKEN else str(raw["lr_schedule"]),
-            min_lr=raw["min_lr"],
-            min_lr_ratio=raw["min_lr_ratio"],
-            weight_decay=raw["weight_decay"],
-            warmup=raw["warmup_ratio"],
-            warmup_is_ratio=True,
-            max_grad_norm=raw["max_grad_norm"],
-            beta1=beta1,
-            beta2=beta2,
-            epsilon=None if raw["epsilon"] == NONE_TOKEN else float(str(raw["epsilon"])),
-            optimizer_extras=extras,
-        )
 
     # -- vocabulary management ----------------------------------------------
 
@@ -526,14 +439,3 @@ class Schema:
                 raise SchemaError(f"saved vocabulary for '{s.name}' conflicts with this build")
         return schema
 
-
-DEFAULT_SCHEMA = Schema.default()
-
-
-def canonicalize(config: RunConfig, frac: float | None = None,
-                 schema: Schema | None = None) -> FeatureVector:
-    return (schema or DEFAULT_SCHEMA).canonicalize(config, frac=frac)
-
-
-def decanonicalize(fv: FeatureVector, schema: Schema | None = None) -> RunConfig:
-    return (schema or DEFAULT_SCHEMA).decanonicalize(fv)

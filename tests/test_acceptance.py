@@ -188,7 +188,7 @@ def test_c3_gradient_checks_and_bit_identical_checkpoints(tmp_path, oracle,
                             (5e-4, 96.0, "adamw"), (8e-3, 1024.0, "muon"),
                             (2e-3, 480.0, "adamw")]
     ]
-    x_num, x_cat = encode_batch(schema, [schema.canonicalize(c) for c in configs])
+    x_num, x_cat = encode_batch(schema, configs)
     model.set_standardization(x_num)
     targets = np.array([0.3, -0.2, 0.1, 0.0, 0.5])
     out, cache = model.forward_batch(x_num, x_cat, want_cache=True)

@@ -28,7 +28,6 @@ from losscast.lawfit import (
     fit_chinchilla,
     fit_power_law,
     predict_chinchilla,
-    residual_target,
     save_fits,
     select_best_per_group,
 )
@@ -88,14 +87,6 @@ def test_predict_rejects_nonpositive_sizes():
         predict_chinchilla(cfit(), 0.0, 25.0)
     with pytest.raises(ValueError):
         predict_chinchilla(cfit(), 100.0, -1.0)
-
-
-def test_residual_round_trip():
-    fit = cfit()
-    loss = 63.5
-    r = residual_target(loss, fit, 100.0, 25.0)
-    assert r == pytest.approx(1.5, rel=1e-12)
-    assert predict_chinchilla(fit, 100.0, 25.0) + r == pytest.approx(loss)
 
 
 # -- fitting ----------------------------------------------------------------------
@@ -375,7 +366,7 @@ def save_model(kind, path, baselines):
             (path / f"chinchilla_{i}.json").write_text(json.dumps(d))
     elif kind == "zip":
         model = RegressorModel(schema, Arch(d_emb=2, d_hid=2, trunk_layers=1, trunk_width=2))
-        TrainedPredictor(model, baseline, "final", TrainReport()).save(str(path))
+        TrainedPredictor(model, baseline, TrainReport()).save(str(path))
         with zipfile.ZipFile(path) as zf:
             entries = {name: zf.read(name) for name in zf.namelist()}
         manifest = json.loads(entries["manifest.json"])

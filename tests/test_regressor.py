@@ -49,9 +49,7 @@ def tiny_model(seed=0, schema=None):
 def batch_of_configs(k=5):
     cfgs = [make_config(peak_lr=1e-3 * (1 + i), model_size_n=130.0 + 40 * i,
                         weight_decay=0.05 * (i + 1)) for i in range(k)]
-    schema = Schema.default()
-    fvs = [schema.canonicalize(c) for c in cfgs]
-    return encode_batch(schema, fvs)
+    return encode_batch(Schema.default(), cfgs)
 
 
 # -- forward -----------------------------------------------------------------------
@@ -110,9 +108,13 @@ def test_inputs_beyond_the_standardization_rows_predict_as_the_range_edge():
     predictor = train(splits, tiny_plan(), fixed_baseline(), arch=TINY)
     top = max(r.config.model_size_n for r in splits.train)
     cfg = splits.id_val[0].config
-    big = predictor.predict_residual(dataclasses.replace(cfg, model_size_n=8 * top))
-    at_edge = predictor.predict_residual(dataclasses.replace(cfg, model_size_n=top))
-    assert big == at_edge
+    cfgs = [dataclasses.replace(cfg, model_size_n=8 * top),
+            dataclasses.replace(cfg, model_size_n=top)]
+    big, at_edge = (predictor.predict_final_loss_batch(cfgs)
+                    - predictor.baseline.predict_final_loss_batch(cfgs))
+    # equal residuals; adding and taking away two different baselines rounds
+    # each by at most an ulp of the loss
+    assert big == pytest.approx(at_edge, rel=0, abs=1e-12)
 
 
 def test_gelu_values():
@@ -402,6 +404,9 @@ def test_checkpoint_rejects_missing_or_misshapen_buffers(tmp_path):
     predictor = train(tiny_splits(), tiny_plan(), fixed_baseline(), arch=TINY)
     path = str(tmp_path / "m.ckpt")
     predictor.save(path)
+    curve_path = str(tmp_path / "c.ckpt")
+    train(tiny_splits(), tiny_plan(), fixed_baseline(), target_kind="curve",
+          arch=TINY).save(curve_path)
 
     def drop_listed(manifest, entries):
         manifest["buffer_keys"].remove("num_max")
@@ -419,18 +424,30 @@ def test_checkpoint_rejects_missing_or_misshapen_buffers(tmp_path):
         manifest["buffer_keys"].append("num_scale")
         entries["buffers/num_scale.npy"] = entries["buffers/num_std.npy"]
 
-    for edit in (drop_listed, drop_entry, wrong_shape, extra_buffer):
-        bad = str(tmp_path / f"{edit.__name__}.ckpt")
-        rewrite_checkpoint(path, bad, edit)
+    def kind(value):
+        def edit(manifest, entries):
+            manifest["target_kind"] = value
+        edit.__name__ = f"kind_{value}"
+        return edit
+
+    cases = [(path, edit) for edit in (drop_listed, drop_entry, wrong_shape, extra_buffer)]
+    cases += [(path, kind("curve")),        # curve on a final schema
+              (curve_path, kind("final")),  # final on a curve schema
+              (path, kind("bogus"))]
+    for i, (src, edit) in enumerate(cases):
+        bad = str(tmp_path / f"{i}_{edit.__name__}.ckpt")
+        rewrite_checkpoint(src, bad, edit)
         with pytest.raises(SchemaError):
             TrainedPredictor.load(bad)
 
-    # the untouched copy still loads, so the failures above are the edits'
+    # the untouched copies still load, so the failures above are the edits'
     same = str(tmp_path / "same.ckpt")
     rewrite_checkpoint(path, same, lambda manifest, entries: None)
     loaded = TrainedPredictor.load(same)
     for k, v in predictor.model.buffers.items():
         np.testing.assert_array_equal(loaded.model.buffers[k], v)
+    rewrite_checkpoint(curve_path, same, lambda manifest, entries: None)
+    assert len(TrainedPredictor.load(same).predict_curve(make_config(), [0.5, 1.0])) == 2
 
 
 def test_checkpoint_loads_without_a_random_draw(tmp_path, monkeypatch):
@@ -465,5 +482,3 @@ def test_final_model_refuses_curve_queries():
     predictor = train(tiny_splits(), tiny_plan(), fixed_baseline(), arch=TINY)
     with pytest.raises(ValueError):
         predictor.predict_curve(make_config(), [0.5, 1.0])
-    with pytest.raises(ValueError):
-        predictor.predict_residual(make_config(), frac=0.5)

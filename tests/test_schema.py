@@ -1,12 +1,12 @@
-"""Canonical feature table, scale factors, and round-trip fidelity."""
+"""Canonical feature table, scale factors, slots and their batch encoding."""
 
-import dataclasses
 import json
 import zlib
 
 import numpy as np
 import pytest
 
+from losscast.features import encode_batch
 from losscast.schema import (
     CATEGORICAL,
     N_EXTRA_SLOTS,
@@ -15,8 +15,6 @@ from losscast.schema import (
     RunConfig,
     Schema,
     SchemaError,
-    canonicalize,
-    decanonicalize,
 )
 from conftest import make_config
 
@@ -49,11 +47,16 @@ for _i in range(N_EXTRA_SLOTS):
     EXPECTED_TABLE.append((f"extra_val_{_i}", NUMERICAL, 1.0))
 
 
-def token_of(fv, name, schema=None):
+def slots_of(cfg, schema=None):
+    """A config's slots by field name."""
+    schema = schema or Schema.default()
+    return dict(zip((s.name for s in schema.specs), schema.canonicalize(cfg), strict=True))
+
+
+def token_of(slots, name, schema=None):
     """Map a categorical slot index back to its vocabulary token."""
     schema = schema or Schema.default()
-    spec = next(s for s in schema.specs if s.name == name)
-    return spec.vocabulary[int(fv.slot(name))]
+    return schema.spec(name).vocabulary[int(slots[name])]
 
 
 def test_default_field_table_is_frozen():
@@ -73,21 +76,21 @@ def test_frac_schema_appends_one_numerical_field():
 def test_scale_factor_examples():
     cfg = make_config(peak_lr=9.77e-4, weight_decay=0.1, batch_size=96.0,
                       model_size_n=215.0, total_steps=4000)
-    fv = canonicalize(cfg)
-    assert fv.slot("peak_lr") == pytest.approx(9.77)
-    assert fv.slot("weight_decay") == pytest.approx(10.0)
-    assert fv.slot("batch_size") == pytest.approx(9.6)
-    assert fv.slot("model_size_n") == pytest.approx(2.15)
-    assert fv.slot("total_steps") == pytest.approx(4.0)
-    assert fv.slot("min_lr_ratio") == pytest.approx(20.0)   # 0.1 x 200
-    assert fv.slot("warmup_ratio") == pytest.approx(1e-4)   # 0.01 x 0.01
+    slots = slots_of(cfg)
+    assert slots["peak_lr"] == pytest.approx(9.77)
+    assert slots["weight_decay"] == pytest.approx(10.0)
+    assert slots["batch_size"] == pytest.approx(9.6)
+    assert slots["model_size_n"] == pytest.approx(2.15)
+    assert slots["total_steps"] == pytest.approx(4.0)
+    assert slots["min_lr_ratio"] == pytest.approx(20.0)   # 0.1 x 200
+    assert slots["warmup_ratio"] == pytest.approx(1e-4)   # 0.01 x 0.01
 
 
 def test_epsilon_and_beta_tokens():
     cfg = make_config(epsilon=8.0, beta1=0.9, beta2=0.95)
-    fv = canonicalize(cfg)
-    assert token_of(fv, "epsilon") == "8"
-    assert token_of(fv, "beta_pair") == "0.9,0.95"
+    slots = slots_of(cfg)
+    assert token_of(slots, "epsilon") == "8"
+    assert token_of(slots, "beta_pair") == "0.9,0.95"
     # raw stability constants arrive as their negated base-10 log
     assert RunConfig.epsilon_from_raw(1e-8) == pytest.approx(8.0)
     assert RunConfig.epsilon_from_raw(1e-15) == pytest.approx(15.0)
@@ -96,64 +99,85 @@ def test_epsilon_and_beta_tokens():
 def test_absent_optionals_encode_as_none_tokens():
     cfg = make_config(beta1=None, beta2=None, epsilon=None, lr_schedule=None,
                       min_lr=None, min_lr_ratio=None)
-    fv = canonicalize(cfg)
-    assert token_of(fv, "beta_pair") == NONE_TOKEN
-    assert token_of(fv, "epsilon") == NONE_TOKEN
-    assert token_of(fv, "lr_schedule") == NONE_TOKEN
-    assert fv.slot("min_lr") == 0.0
-    assert fv.slot("min_lr_ratio") == 0.0
+    slots = slots_of(cfg)
+    assert token_of(slots, "beta_pair") == NONE_TOKEN
+    assert token_of(slots, "epsilon") == NONE_TOKEN
+    assert token_of(slots, "lr_schedule") == NONE_TOKEN
+    assert slots["min_lr"] == 0.0
+    assert slots["min_lr_ratio"] == 0.0
 
 
-def test_round_trip_is_lossless():
-    cfgs = [
-        make_config(),
-        make_config(optimizer="muon", beta1=None, beta2=None, epsilon=None,
-                    optimizer_extras={"adam_lr": 3e-4}),
-        make_config(optimizer="soap", optimizer_extras={"block_size": 128.0}),
-        make_config(min_lr=1e-4, min_lr_ratio=None),
-        make_config(warmup=500.0, warmup_is_ratio=False),
-        make_config(max_grad_norm=1.0, weight_decay=0.0),
+# numerical slots that carry one field of the resolved config, times its scale
+RESOLVED_SLOTS = {
+    "model_size_n": "model_size_n", "num_layers": "num_layers",
+    "num_heads": "num_heads", "hidden_dim": "hidden_dim",
+    "data_size_d": "data_size_d", "total_steps": "total_steps",
+    "peak_lr": "peak_lr", "min_lr": "min_lr", "min_lr_ratio": "min_lr_ratio",
+    "weight_decay": "weight_decay", "batch_size": "batch_size",
+    "warmup_ratio": "warmup", "max_grad_norm": "max_grad_norm",
+}
+
+
+def test_slots_carry_the_resolved_config():
+    none_idx = 0  # NONE_TOKEN leads every vocabulary
+    cases = [
+        (make_config(), {"muon_adam_lr": 0.0, "soap_block_size": 0.0,
+                         "kron_precond_lr": none_idx}),
+        (make_config(optimizer="muon", beta1=None, beta2=None, epsilon=None,
+                     optimizer_extras={"adam_lr": 3e-4}),
+         {"muon_adam_lr": 3.0, "soap_block_size": 0.0, "extra_key_0": none_idx}),
+        (make_config(optimizer="soap", optimizer_extras={"block_size": 128.0}),
+         {"soap_block_size": 2.56, "muon_adam_lr": 0.0, "extra_key_0": none_idx}),
+        (make_config(min_lr=1e-4, min_lr_ratio=None),
+         {"min_lr": 1.0, "min_lr_ratio": 20.0}),
+        (make_config(warmup=500.0, warmup_is_ratio=False),
+         {"warmup_ratio": 500.0 / 6000 * 0.01}),
+        (make_config(max_grad_norm=1.0, weight_decay=0.0),
+         {"weight_decay": 0.0, "max_grad_norm": 1.0}),
     ]
-    for cfg in cfgs:
-        back = decanonicalize(canonicalize(cfg))
-        a, b = cfg.resolved(), back.resolved()
-        for field in dataclasses.fields(a):
-            va, vb = getattr(a, field.name), getattr(b, field.name)
-            if isinstance(va, float) and va is not None and vb is not None:
-                assert vb == pytest.approx(va, rel=1e-12, abs=1e-15), field.name
-            else:
-                assert va == vb, field.name
+    schema = Schema.default()
+    for cfg, want in cases:
+        slots = slots_of(cfg)
+        res = cfg.resolved()
+        for name, attr in RESOLVED_SLOTS.items():
+            assert slots[name] == pytest.approx(
+                getattr(res, attr) * schema.spec(name).scale_factor, rel=1e-12, abs=1e-15
+            ), name
+        assert token_of(slots, "source") == cfg.source
+        assert token_of(slots, "optimizer") == cfg.optimizer
+        assert token_of(slots, "lr_schedule") == (cfg.lr_schedule or NONE_TOKEN)
+        assert token_of(slots, "beta_pair") == cfg.beta_token()
+        assert token_of(slots, "epsilon") == cfg.epsilon_token()
+        for name, value in want.items():
+            assert slots[name] == pytest.approx(value, rel=1e-12, abs=1e-15), name
 
 
 def test_known_optimizer_extras_get_their_own_fields():
     cfg = make_config(optimizer="muon", optimizer_extras={"adam_lr": 3e-4})
-    fv = canonicalize(cfg)
-    assert fv.slot("muon_adam_lr") == pytest.approx(3.0)  # x 1e4
-    assert token_of(fv, "extra_key_0") == NONE_TOKEN
+    slots = slots_of(cfg)
+    assert slots["muon_adam_lr"] == pytest.approx(3.0)  # x 1e4
+    assert token_of(slots, "extra_key_0") == NONE_TOKEN
 
 
 def test_unknown_extras_hash_into_slots():
     cfg = make_config(optimizer="mars",
                       optimizer_extras={"gamma": 0.025, "vr_scale": 2.0})
-    fv = canonicalize(cfg)
-    keys = [token_of(fv, f"extra_key_{i}") for i in range(N_EXTRA_SLOTS)]
-    vals = [fv.slot(f"extra_val_{i}") for i in range(N_EXTRA_SLOTS)]
+    slots = slots_of(cfg)
+    keys = [token_of(slots, f"extra_key_{i}") for i in range(N_EXTRA_SLOTS)]
+    vals = [slots[f"extra_val_{i}"] for i in range(N_EXTRA_SLOTS)]
     # sorted keys fill slots in order; the token is a crc32 bucket label
     for i, (name, value) in enumerate((("gamma", 0.025), ("vr_scale", 2.0))):
         assert keys[i] == f"h{zlib.crc32(name.encode()) % 63}"
         assert vals[i] == pytest.approx(value)
     assert keys[2] == keys[3] == NONE_TOKEN
-    # original names are hashed away; values survive under bucket labels
-    back = decanonicalize(fv)
-    assert sorted(back.optimizer_extras.values()) == pytest.approx([0.025, 2.0])
-    assert set(back.optimizer_extras) == {keys[0], keys[1]}
+    assert vals[2] == vals[3] == 0.0
 
 
 def test_too_many_unknown_extras_rejected():
     extras = {f"knob_{i}": float(i) for i in range(N_EXTRA_SLOTS + 3)}
     cfg = make_config(optimizer="mars", optimizer_extras=extras)
     with pytest.raises(SchemaError):
-        canonicalize(cfg)
+        Schema.default().canonicalize(cfg)
 
 
 def test_schema_hash_survives_dump_round_trip():
@@ -169,8 +193,8 @@ def test_vocab_extension_preserves_known_prefix():
     with pytest.raises(SchemaError):
         s.canonicalize(cfg)  # unseen source without vocab extension
     s2 = s.with_vocab_from([cfg])
-    fv = s2.canonicalize(cfg)
-    assert token_of(fv, "source", s2) == "weblab"
+    slots = slots_of(cfg, s2)
+    assert token_of(slots, "source", s2) == "weblab"
     old = next(f for f in s.specs if f.name == "source").vocabulary
     new = next(f for f in s2.specs if f.name == "source").vocabulary
     assert new[: len(old)] == old  # extension appends, never reorders
@@ -196,6 +220,68 @@ def test_warmup_ratio_resolution():
     assert by_steps.warmup_ratio == pytest.approx(0.05)
 
 
-def test_feature_vector_json_is_deterministic():
-    fv = canonicalize(make_config())
-    assert fv.to_json() == canonicalize(make_config()).to_json()
+
+def per_row_encode(schema, configs, fracs):
+    """Reference encoder: canonicalize each row, then split its slots by kind."""
+    num_idx = [i for i, s in enumerate(schema.specs) if s.kind == NUMERICAL]
+    cat_idx = [i for i, s in enumerate(schema.specs) if s.kind == CATEGORICAL]
+    x_num = np.empty((len(configs), len(num_idx)), dtype=np.float64)
+    x_cat = np.empty((len(configs), len(cat_idx)), dtype=np.int64)
+    for r, (cfg, frac) in enumerate(zip(configs, fracs)):
+        slots = schema.canonicalize(cfg, frac=frac)
+        for j, i in enumerate(num_idx):
+            x_num[r, j] = slots[i]
+        for j, i in enumerate(cat_idx):
+            x_cat[r, j] = slots[i]
+    return x_num, x_cat
+
+
+def mixed_configs():
+    return [
+        make_config(),
+        make_config(optimizer="muon", beta1=None, beta2=None, epsilon=None,
+                    lr_schedule=None, optimizer_extras={"adam_lr": 3e-4}),
+        make_config(optimizer="soap", optimizer_extras={"block_size": 128.0}),
+        make_config(optimizer="kron", optimizer_extras={"precond_lr": 0.5}),
+        make_config(optimizer="mars", optimizer_extras={"gamma": 0.025, "vr_scale": 2.0}),
+        make_config(min_lr=1e-4, min_lr_ratio=None, weight_decay=0.0),
+        make_config(warmup=500.0, warmup_is_ratio=False, source="weblab"),
+    ]
+
+
+def test_encode_batch_matches_the_per_row_encoder():
+    configs = mixed_configs()
+    n = len(configs)
+    plain = Schema.default().with_vocab_from(configs)
+    curve = Schema.default(include_frac=True).with_vocab_from(configs)
+    fracs = [0.01, 0.2, 0.5, 1.0, 1e-9, 0.75, 0.3]
+    for schema, given, want_fracs in [
+        (plain, None, [None] * n),
+        (curve, None, [1.0] * n),   # a final-loss query on a curve schema
+        (curve, fracs, fracs),
+    ]:
+        x_num, x_cat = encode_batch(schema, configs, given)
+        ref_num, ref_cat = per_row_encode(schema, configs, want_fracs)
+        assert x_num.dtype == np.float64 and x_cat.dtype == np.int64
+        assert x_num.flags.c_contiguous and x_cat.flags.c_contiguous
+        assert x_num.tobytes() == ref_num.tobytes()
+        np.testing.assert_array_equal(x_cat, ref_cat)
+    assert encode_batch(curve, configs, fracs)[0][:, -1].tolist() == fracs
+
+    x_num, x_cat = encode_batch(plain, [])
+    assert x_num.shape == (0, len(plain.numerical_fields()))
+    assert x_cat.shape == (0, len(plain.categorical_fields()))
+
+
+def test_encode_batch_checks_each_frac():
+    configs = mixed_configs()[:2]
+    plain = Schema.default()
+    curve = Schema.default(include_frac=True)
+    for schema, fracs in [(plain, [0.5, 0.5]),      # plain schema carries no frac
+                          (curve, [None, 0.5]),     # curve schema needs every one
+                          (curve, [0.0, 0.5]),
+                          (curve, [0.5, 1.5])]:
+        with pytest.raises(SchemaError):
+            encode_batch(schema, configs, fracs)
+    with pytest.raises(ValueError):
+        encode_batch(curve, configs, [0.5])
