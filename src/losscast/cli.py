@@ -32,6 +32,7 @@ from .ingest import (
     config_from_obj,
     filter_runs,
     parse_runs,
+    read_kept_lines,
     record_to_obj,
     split_dataset,
     write_split_manifest,
@@ -198,19 +199,25 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_split(args) -> int:
+    """Split ingest's kept.jsonl, copying each line as ingest wrote it to its
+    split file; its curves are neither re-smoothed nor re-encoded."""
     defaults = {"input": None, "output": None, "seed": 0,
                 "ood_threshold": OOD_THRESHOLD_N, "split_ratio": TRAIN_RATIO}
     r = _resolve(args, defaults)
     if not (r["input"] and r["output"]):
         raise ValueError("split requires --input and --output")
-    records = parse_runs(r["input"]).records
+    kept = read_kept_lines(r["input"])
+    records = [rec for rec, _ in kept]
+    # keyed by identity: run_ids need not be unique
+    line_of = {id(rec): line for rec, line in kept}
     splits = split_dataset(records, ood_threshold_n=float(r["ood_threshold"]),
                            ratio=float(r["split_ratio"]), seed=int(r["seed"]))
     os.makedirs(r["output"], exist_ok=True)
     for name, part in (("train", splits.train), ("id_val", splits.id_val),
                        ("ood_val", splits.ood_val)):
-        _write_jsonl(os.path.join(r["output"], f"{name}.jsonl"),
-                     (record_to_obj(rec) for rec in part))
+        with open(os.path.join(r["output"], f"{name}.jsonl"), "w",
+                  encoding="utf-8") as fh:
+            fh.writelines(line_of[id(rec)] for rec in part)
     write_split_manifest(splits, r["output"])
     _write_resolved(r["output"], "split", r)
     print(f"split {len(records)} runs -> train={len(splits.train)} "
@@ -495,8 +502,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input")
     p.add_argument("--output", help="directory for kept/rejected/malformed files")
 
-    p = add("split", cmd_split, "group-wise train/val/ood split")
-    p.add_argument("--input")
+    p = add("split", cmd_split,
+            "group-wise train/val/ood split of ingest's kept.jsonl; each "
+            "line is copied unchanged to its split file")
+    p.add_argument("--input", help="kept.jsonl as ingest wrote it")
     p.add_argument("--output")
     p.add_argument("--seed", type=int)
     p.add_argument("--ood-threshold", dest="ood_threshold", type=float)

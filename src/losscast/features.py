@@ -21,9 +21,24 @@ def encode_batch(schema: Schema, configs: list[RunConfig],
     """
     if fracs is None:
         fracs = [1.0 if schema.include_frac else None] * len(configs)
-    rows = [schema.canonicalize(c, frac=f) for c, f in zip(configs, fracs, strict=True)]
+    # a curve's rows repeat one config object with different fracs: encode
+    # each object once, then write each row's frac into its slot
+    distinct, row_of, index_of = [], [], {}
+    for c, f in zip(configs, fracs, strict=True):
+        i = index_of.get(id(c))
+        if i is None:
+            i = index_of[id(c)] = len(distinct)
+            distinct.append(schema.canonicalize(c, frac=f))
+        else:
+            schema.check_frac(f)
+        row_of.append(i)
     # categorical indices are small integers, exact in float64
-    slots = np.array(rows, dtype=np.float64).reshape(len(rows), len(schema.specs))
+    slots = np.array(distinct, dtype=np.float64).reshape(
+        len(distinct), len(schema.specs))[row_of]
+    if schema.include_frac:
+        # canonicalize's own arithmetic, into the frac schema's last slot
+        scale = schema.specs[-1].scale_factor
+        slots[:, -1] = [float(f) * scale for f in fracs]
     num_idx = [i for i, s in enumerate(schema.specs) if s.kind == NUMERICAL]
     cat_idx = [i for i, s in enumerate(schema.specs) if s.kind == CATEGORICAL]
     # np.take returns C-ordered copies, where a column fancy-index would not;

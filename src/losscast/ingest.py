@@ -209,8 +209,8 @@ def _parse_curve(raw) -> tuple[np.ndarray, np.ndarray]:
     return steps, losses
 
 
-def record_from_obj(obj: dict, run_id: str = "") -> RunRecord:
-    """Build a RunRecord from one decoded log object."""
+def _unsmoothed_record(obj: dict, run_id: str) -> RunRecord:
+    """Every check record_from_obj makes, without the EMA of a curve."""
     config = config_from_obj(obj)
     finished = bool(obj.get("finished", True))
     rec = RunRecord(
@@ -220,14 +220,21 @@ def record_from_obj(obj: dict, run_id: str = "") -> RunRecord:
     )
     if obj.get("curve") is not None:
         rec.steps, rec.losses = _parse_curve(obj["curve"])
-        rec.smoothed = smooth_curve(rec.losses)
-        rec.final_loss = float(rec.smoothed[-1])
     elif obj.get("final_loss") is not None:
         rec.final_loss = float(obj["final_loss"])
         if not (math.isfinite(rec.final_loss) and rec.final_loss > 0):
             raise ValueError("final_loss must be finite and positive")
     elif finished:
         raise ValueError("finished run carries neither final_loss nor curve")
+    return rec
+
+
+def record_from_obj(obj: dict, run_id: str = "") -> RunRecord:
+    """Build a RunRecord from one decoded log object."""
+    rec = _unsmoothed_record(obj, run_id)
+    if rec.has_curve:
+        rec.smoothed = smooth_curve(rec.losses)
+        rec.final_loss = float(rec.smoothed[-1])
     return rec
 
 
@@ -270,20 +277,21 @@ def record_to_obj(record: RunRecord) -> dict:
     obj["run_id"] = record.run_id
     obj["finished"] = record.finished
     if record.has_curve:
-        obj["curve"] = [[float(s), float(l)]
-                        for s, l in zip(record.steps, record.losses)]
+        obj["curve"] = np.column_stack((record.steps, record.losses)).tolist()
     elif record.final_loss is not None:
         obj["final_loss"] = record.final_loss
     return obj
 
 
-def parse_runs(path: str | os.PathLike) -> ParseResult:
-    """Parse a line-delimited run-log file.
+def _parse_lines(path, build) -> tuple[list, list[tuple[int, str]]]:
+    """The line loop of every run-log reader: ``build(obj, lineno, line)`` for
+    each nonblank line that decodes to a JSON object.
 
-    Malformed lines are collected (with 1-based line numbers) rather than
-    aborting the parse; more than half malformed raises FormatError.
+    A line that fails to decode or to build is collected as (1-based line
+    number, message) rather than aborting the read; more than half malformed
+    raises FormatError.
     """
-    result = ParseResult()
+    items, malformed = [], []
     n_lines = 0
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -294,15 +302,46 @@ def parse_runs(path: str | os.PathLike) -> ParseResult:
                 obj = json.loads(line)
                 if not isinstance(obj, dict):
                     raise ValueError("line is not a JSON object")
-                result.records.append(record_from_obj(obj, run_id=f"line{lineno}"))
+                items.append(build(obj, lineno, line))
             except (ValueError, KeyError, TypeError, SchemaError) as exc:
-                result.malformed.append((lineno, str(exc)))
-    if n_lines and len(result.malformed) * 2 > n_lines:
+                malformed.append((lineno, str(exc)))
+    if n_lines and len(malformed) * 2 > n_lines:
         raise FormatError(
-            f"{len(result.malformed)} of {n_lines} lines malformed in {path}; "
-            f"first: line {result.malformed[0][0]}: {result.malformed[0][1]}"
+            f"{len(malformed)} of {n_lines} lines malformed in {path}; "
+            f"first: line {malformed[0][0]}: {malformed[0][1]}"
         )
-    return result
+    return items, malformed
+
+
+def parse_runs(path: str | os.PathLike) -> ParseResult:
+    """Parse a line-delimited run-log file.
+
+    Malformed lines are collected (with 1-based line numbers) rather than
+    aborting the parse; more than half malformed raises FormatError.
+    """
+    records, malformed = _parse_lines(
+        path, lambda obj, lineno, line: record_from_obj(obj, run_id=f"line{lineno}"))
+    return ParseResult(records=records, malformed=malformed)
+
+
+def read_kept_lines(path: str | os.PathLike) -> list[tuple[RunRecord, str]]:
+    """Read ``ingest``'s kept-run file for splitting: (record, line) pairs.
+
+    Each line gets parse_runs's checks and malformed-line policy, but its
+    curve is not smoothed: the record carries only what splitting needs, and
+    the line is kept as read so that it can be copied out unchanged. A line
+    without a run_id is refused, since the id a reader would invent for it
+    would appear in the split manifests but not in the copied line.
+    """
+    def build(obj, lineno, line):
+        rec = _unsmoothed_record(obj, run_id="")
+        if not obj.get("run_id"):
+            raise FormatError(
+                f"{path}: line {lineno} has no run_id; split copies lines as "
+                f"they are, so each needs its own (ingest writes one)")
+        return rec, line if line.endswith("\n") else line + "\n"
+
+    return _parse_lines(path, build)[0]
 
 
 # -- filtering ----------------------------------------------------------------

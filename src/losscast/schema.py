@@ -276,13 +276,7 @@ class Schema:
         its raw ratio sits in the last slot.
         """
         config.validate()
-        if self.include_frac:
-            if frac is None:
-                raise SchemaError("schema expects a 'frac' value")
-            if not 0.0 < frac <= 1.0:
-                raise SchemaError("'frac' must lie in (0, 1]")
-        elif frac is not None:
-            raise SchemaError("schema does not carry a 'frac' field")
+        self.check_frac(frac)
 
         known, extra_pairs = self._split_extras(config)
         values = {
@@ -331,6 +325,16 @@ class Schema:
                         f"unknown value '{v}' for categorical field '{s.name}'"
                     ) from None
         return tuple(slots)
+
+    def check_frac(self, frac: float | None) -> None:
+        """Raise SchemaError unless ``frac`` is what this schema's frac slot takes."""
+        if self.include_frac:
+            if frac is None:
+                raise SchemaError("schema expects a 'frac' value")
+            if not 0.0 < frac <= 1.0:
+                raise SchemaError("'frac' must lie in (0, 1]")
+        elif frac is not None:
+            raise SchemaError("schema does not carry a 'frac' field")
 
     def _split_extras(self, config: RunConfig):
         known: dict[str, object] = {}

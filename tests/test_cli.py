@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 
 import numpy as np
@@ -9,7 +10,13 @@ import pytest
 
 from losscast.cli import load_predictor, main
 from losscast.gbt import GBTPredictor
-from losscast.ingest import config_from_obj
+from losscast.ingest import (
+    config_from_obj,
+    parse_runs,
+    record_from_obj,
+    record_to_obj,
+    split_dataset,
+)
 
 
 def read_jsonl(path):
@@ -300,3 +307,109 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
     assert main(["synth", "--config", str(cfg),
                  "--output", str(tmp_path / "x.jsonl")]) == 1
     assert "unknown config key 'sneed'" in capsys.readouterr().err
+
+
+# -- ingest writes what split copies ------------------------------------------------
+
+SPLITS = ("train", "id_val", "ood_val")
+
+
+def dump_line(obj):
+    """A JSON line as ingest writes one."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def logged_run(run_id, n, d, optimizer="adamw", lr=1e-3, **extra):
+    """A raw log object with a 200-point curve falling to a level set by (N, D, lr)."""
+    steps = np.arange(1, 201) * 10
+    level = 1.5 + 2.0 / n ** 0.3 + 1.0 / d ** 0.3 + 0.05 * abs(math.log10(lr / 1e-3))
+    losses = level + 1.5 * np.exp(-steps / 300.0)
+    obj = {"run_id": run_id, "source": "lab", "model_size_n": n, "data_size_d": d,
+           "total_steps": 2000, "optimizer": optimizer, "peak_lr": lr,
+           "batch_size": 256, "curve": [[int(s), float(x)] for s, x in zip(steps, losses)]}
+    obj.update(extra)
+    return obj
+
+
+def ingest_objs(objs, root):
+    raw = root / "raw.jsonl"
+    raw.write_text("".join(json.dumps(o) + "\n" for o in objs))
+    assert main(["ingest", "--input", str(raw), "--output", str(root / "ingested")]) == 0
+    return root / "ingested" / "kept.jsonl"
+
+
+def test_ingest_writes_kept_lines_that_re_encode_to_themselves(tmp_path):
+    curve = logged_run("curve", 150.0, 10.0)
+    final = {k: v for k, v in logged_run("final", 200.0, 20.0).items() if k != "curve"}
+    final["final_loss"] = 3.1
+    full = logged_run("full", 300.0, 20.0, optimizer="mars", warmup_steps=100,
+                      betas=[0.9, 0.95], epsilon=1e-8, min_lr=1e-5,
+                      lr_schedule="cosine", weight_decay=0.1, max_grad_norm=1.0,
+                      num_layers=12, num_heads=8, hidden_dim=768,
+                      optimizer_extras={"gamma": 0.025, "vr_scale": 2.0})
+    kept = ingest_objs([curve, final, full], tmp_path)
+    lines = kept.read_text().splitlines()
+    assert [json.loads(line)["run_id"] for line in lines] == ["curve", "final", "full"]
+    for line in lines:
+        assert line == dump_line(record_to_obj(record_from_obj(json.loads(line))))
+    written = json.loads(lines[2])
+    assert {"warmup_steps", "beta1", "beta2", "epsilon", "optimizer_extras",
+            "min_lr", "lr_schedule"} <= set(written)
+
+
+@pytest.fixture(scope="module")
+def curve_kept(tmp_path_factory):
+    """kept.jsonl of 20 curve runs: 16 in 8 (optimizer, N, D) groups, 4 above
+    the OOD size threshold."""
+    objs = [logged_run(f"{opt}-{n:g}-{d:g}-{lr:g}", n, d, optimizer=opt, lr=lr)
+            for n, d in ((100.0, 10.0), (150.0, 10.0), (200.0, 20.0),
+                         (300.0, 20.0), (500.0, 20.0))
+            for opt in ("adamw", "muon") for lr in (1e-3, 2e-3)]
+    kept = ingest_objs(objs, tmp_path_factory.mktemp("curves"))
+    assert len(kept.read_text().splitlines()) == len(objs)
+    return kept
+
+
+def split_files(kept, out, seed=3):
+    assert main(["split", "--input", str(kept), "--output", str(out),
+                 "--seed", str(seed)]) == 0
+    return {name: (out / f"{name}.jsonl").read_bytes() for name in SPLITS}
+
+
+def test_split_writes_what_re_encoding_the_parsed_records_would(curve_kept, tmp_path):
+    got = split_files(curve_kept, tmp_path)
+    splits = split_dataset(parse_runs(curve_kept).records, seed=3)
+    for name in SPLITS:
+        want = "".join(dump_line(record_to_obj(r)) + "\n" for r in getattr(splits, name))
+        assert got[name] and got[name] == want.encode("utf-8")
+
+
+def test_split_manifests_list_their_files_run_ids(curve_kept, tmp_path):
+    split_files(curve_kept, tmp_path)
+    for name in SPLITS:
+        ids = (tmp_path / f"{name}.ids").read_text().splitlines()[1:]
+        assert ids == [o["run_id"] for o in read_jsonl(tmp_path / f"{name}.jsonl")]
+
+
+def test_split_drops_malformed_kept_lines(curve_kept, tmp_path):
+    lines = curve_kept.read_text().splitlines(keepends=True)
+    missing = json.loads(lines[7])
+    del missing["peak_lr"]
+    bad = tmp_path / "kept.jsonl"
+    bad.write_text("".join(lines[:3] + ["{not json\n"] + lines[3:7]
+                           + [json.dumps(missing) + "\n"] + lines[8:]))
+    without = tmp_path / "without.jsonl"
+    without.write_text("".join(lines[:7] + lines[8:]))
+    assert split_files(bad, tmp_path / "bad") == split_files(without, tmp_path / "good")
+
+
+def test_split_refuses_a_line_without_a_run_id(curve_kept, tmp_path, capsys):
+    lines = curve_kept.read_text().splitlines(keepends=True)
+    anonymous = json.loads(lines[4])
+    del anonymous["run_id"]
+    kept = tmp_path / "kept.jsonl"
+    kept.write_text("".join(lines[:4] + [json.dumps(anonymous) + "\n"] + lines[5:]))
+    assert main(["split", "--input", str(kept), "--output", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "error [ingest]" in err and "line 5" in err and "run_id" in err
+    assert not (tmp_path / "out").exists()

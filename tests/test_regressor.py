@@ -6,6 +6,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import zipfile
 
 import numpy as np
@@ -13,8 +15,9 @@ import pytest
 from scipy.special import erf
 
 from losscast.errors import TrainingError
-from losscast.ingest import DatasetSplits, record_from_obj
-from losscast.lawfit import ChinchillaFit, ChinchillaPredictor, Scope
+import losscast
+from losscast.ingest import DatasetSplits, record_from_obj, record_to_obj, split_dataset
+from losscast.lawfit import ChinchillaFit, ChinchillaPredictor, Scope, save_fits
 from losscast.features import encode_batch
 from losscast.regressor import (
     MAX_CURVE_CHECKPOINTS,
@@ -482,3 +485,33 @@ def test_final_model_refuses_curve_queries():
     predictor = train(tiny_splits(), tiny_plan(), fixed_baseline(), arch=TINY)
     with pytest.raises(ValueError):
         predictor.predict_curve(make_config(), [0.5, 1.0])
+
+
+def test_checkpoints_do_not_depend_on_the_blas_thread_count(small_records, tmp_path):
+    # the default architecture's trunk matmuls are large enough for OpenBLAS
+    # to split them over threads
+    splits = split_dataset(small_records, seed=0)
+    data = tmp_path / "splits"
+    data.mkdir()
+    for name in ("train", "id_val", "ood_val"):
+        (data / f"{name}.jsonl").write_text("".join(
+            json.dumps(record_to_obj(r)) + "\n" for r in getattr(splits, name)))
+    save_fits(fixed_baseline(), tmp_path / "fits")
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"stage1": {"epochs": 1}, "stage2": {"epochs": 1}}))
+
+    src = os.path.dirname(os.path.dirname(losscast.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    outs = [tmp_path / f"threads{n}.zip" for n in (1, 2)]
+    children = [
+        subprocess.Popen(
+            [sys.executable, "-m", "losscast.cli", "train", "--input", str(data),
+             "--fits", str(tmp_path / "fits"), "--output", str(out), "--plan", str(plan)],
+            env=dict(env, OPENBLAS_NUM_THREADS=str(n)),
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        for n, out in zip((1, 2), outs)]
+    for child in children:
+        _, err = child.communicate(timeout=120)
+        assert child.returncode == 0, err.decode()
+    assert outs[0].read_bytes() == outs[1].read_bytes()

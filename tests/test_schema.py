@@ -1,5 +1,6 @@
 """Canonical feature table, scale factors, slots and their batch encoding."""
 
+import dataclasses
 import json
 import zlib
 
@@ -285,3 +286,34 @@ def test_encode_batch_checks_each_frac():
             encode_batch(schema, configs, fracs)
     with pytest.raises(ValueError):
         encode_batch(curve, configs, [0.5])
+
+
+def test_encode_batch_canonicalizes_each_config_object_once(monkeypatch):
+    configs = mixed_configs()
+    curve = Schema.default(include_frac=True).with_vocab_from(configs)
+    # as a curve's rows come: each object repeated with its own fracs, plus an
+    # equal copy that is a distinct object
+    rows = [configs[i % len(configs)] for i in range(4 * len(configs))]
+    rows.append(dataclasses.replace(configs[0]))
+    fracs = [(i % 9 + 1) / 9 * (1.0 if i % 2 else 0.37) for i in range(len(rows))]
+    ref_num, ref_cat = per_row_encode(curve, rows, fracs)
+
+    calls = []
+    canonicalize = Schema.canonicalize
+    monkeypatch.setattr(Schema, "canonicalize",
+                        lambda self, c, frac=None: calls.append(c) or canonicalize(self, c, frac))
+    x_num, x_cat = encode_batch(curve, rows, fracs)
+    assert len(calls) == len(configs) + 1
+    assert x_num.tobytes() == ref_num.tobytes()
+    assert x_cat.tobytes() == ref_cat.tobytes()
+    assert x_num[:, -1].tolist() == fracs
+
+
+def test_encode_batch_checks_the_frac_of_every_repeated_row():
+    cfg = make_config()
+    curve = Schema.default(include_frac=True)
+    for bad in (0.0, 1.5, None):
+        with pytest.raises(SchemaError):
+            encode_batch(curve, [cfg, cfg, cfg], [0.5, 1.0, bad])
+    with pytest.raises(SchemaError):
+        encode_batch(Schema.default(), [cfg, cfg], [None, 0.5])
