@@ -505,7 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("split", cmd_split,
             "group-wise train/val/ood split of ingest's kept.jsonl; each "
             "line is copied unchanged to its split file")
-    p.add_argument("--input", help="kept.jsonl as ingest wrote it")
+    p.add_argument("--input", help="ingest's kept.jsonl; each line is copied "
+                   "unchanged to its split file")
     p.add_argument("--output")
     p.add_argument("--seed", type=int)
     p.add_argument("--ood-threshold", dest="ood_threshold", type=float)
