@@ -251,8 +251,12 @@ def _plan_from_overrides(target: str, overrides: dict) -> TrainPlan:
     stage_over = {}
     for stage in ("stage1", "stage2"):
         if stage in overrides:
-            stage_over[stage] = dataclasses.replace(
-                getattr(plan, stage), **overrides.pop(stage))
+            over = overrides.pop(stage)
+            base = getattr(plan, stage)
+            # a stage's warmup is one of the two fields; naming either drops the other
+            if "warmup_ratio" in over or "warmup_steps" in over:
+                base = dataclasses.replace(base, warmup_ratio=None, warmup_steps=None)
+            stage_over[stage] = dataclasses.replace(base, **over)
     return dataclasses.replace(plan, **stage_over, **overrides)
 
 
@@ -280,7 +284,7 @@ def cmd_train(args) -> int:
         raise ValueError("curve prediction needs the neural method")
 
     splits = _load_split_dir(r["input"])
-    baselines = ChinchillaPredictor.load(r["fits"]).fits
+    baseline = ChinchillaPredictor.load(r["fits"])
 
     overrides = {}
     if r["plan"]:
@@ -288,11 +292,8 @@ def cmd_train(args) -> int:
             overrides = json.load(fh)
 
     if r["method"] == "gbt":
-        params = GBTParams(**overrides) if overrides else GBTParams()
-        predictor = fit_gbt(
-            splits.train, baselines, params,
-            all_records=splits.train + splits.id_val + splits.ood_val,
-        )
+        params = GBTParams(**overrides)
+        predictor = fit_gbt(splits, baseline, params)
         predictor.save(r["output"])
         summary = (f"gbt: {params.rounds} rounds, depth {params.max_depth}, "
                    f"{len(splits.train)} train runs")
@@ -300,7 +301,7 @@ def cmd_train(args) -> int:
         if r["seed"] is not None:
             overrides["seed"] = int(r["seed"])
         plan = _plan_from_overrides(r["target"], overrides)
-        predictor = train(splits, plan, baselines, target_kind=r["target"])
+        predictor = train(splits, plan, baseline, target_kind=r["target"])
         predictor.save(r["output"])
         report = predictor.report
         with open(r["output"] + ".report.json", "w", encoding="utf-8") as fh:
@@ -526,7 +527,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output")
     p.add_argument("--target", choices=["final", "curve"])
     p.add_argument("--method", choices=["neural", "gbt"])
-    p.add_argument("--plan", help="JSON overrides for the training plan")
+    p.add_argument("--plan", help=(
+        "JSON overrides for the training plan (neural) or GBT params. A stage "
+        "override naming warmup_ratio or warmup_steps replaces the stage's "
+        "default warmup; naming both is an error"))
     p.add_argument("--seed", type=int)
 
     p = add("predict", cmd_predict, "predict final losses for configs")

@@ -29,10 +29,10 @@ import numpy as np
 
 from .errors import SchemaError
 from .features import design_column_names, encode_batch, one_hot_matrix
-from .ingest import RunRecord
-from .lawfit import ChinchillaFit, ChinchillaPredictor, Scope
-from .regressor import build_training_rows
-from .schema import RunConfig, Schema
+from .ingest import DatasetSplits
+from .lawfit import ChinchillaPredictor
+from .regressor import build_training_rows, training_schema
+from .schema import RunConfig, Schema, read_saved
 
 
 @dataclass
@@ -374,7 +374,9 @@ class GBTPredictor:
             first = fh.readline()
             if not first.startswith("#losscast-gbt-1 "):
                 raise SchemaError("not a losscast GBT dump")
-            header = json.loads(first.split(" ", 1)[1])
+            header = read_saved(first.split(" ", 1)[1],
+                                ("schema", "schema_hash", "columns", "baselines"),
+                                "GBT dump header")
             forest = BoostedForest.from_text(fh.read())
         schema = Schema.from_saved(header)
         if header["columns"] != design_column_names(schema):
@@ -389,21 +391,15 @@ class GBTPredictor:
 
 
 def fit_gbt(
-    train_records: list[RunRecord],
-    baselines: dict[Scope, ChinchillaFit],
+    splits: DatasetSplits,
+    baseline: ChinchillaPredictor,
     params: GBTParams = GBTParams(),
-    all_records: list[RunRecord] | None = None,
 ) -> GBTPredictor:
-    """Fit on residual targets of the given (already filtered, train-side)
-    records. ``all_records`` may widen categorical vocabularies so validation
-    configs encode; it never contributes training rows."""
-    if not train_records:
-        raise ValueError("empty dataset")
-    schema = Schema.default().with_vocab_from(
-        r.config for r in (all_records if all_records is not None else train_records)
-    )
-    baseline = ChinchillaPredictor(baselines)
-    x_num, x_cat, y = build_training_rows(train_records, baseline, schema, "final")
+    """Fit on residual targets of splits.train; the baseline must be fit on
+    splits.train only. Every split widens the vocabularies, as in neural
+    training, so validation configs encode."""
+    schema = training_schema(splits)
+    x_num, x_cat, y = build_training_rows(splits.train, baseline, schema)
     x = one_hot_matrix(schema, x_num, x_cat)
     forest = fit_gbt_arrays(x, y, params)
     return GBTPredictor(forest=forest, schema=schema, baseline=baseline)

@@ -38,8 +38,8 @@ from scipy.special import erf
 from .errors import TrainingError
 from .features import encode_batch
 from .ingest import DatasetSplits, RunRecord
-from .lawfit import ChinchillaFit, ChinchillaPredictor, Scope
-from .schema import NUMERICAL, RunConfig, Schema, SchemaError
+from .lawfit import ChinchillaPredictor
+from .schema import NUMERICAL, RunConfig, Schema, SchemaError, read_saved
 
 CHECKPOINT_FORMAT = "losscast-checkpoint-2"
 MAX_CURVE_CHECKPOINTS = 30
@@ -82,15 +82,20 @@ class StagePlan:
             raise ValueError("epochs must be >= 0")
         if not self.peak_lr > 0:
             raise ValueError("peak_lr must be positive")
+        if self.warmup_ratio is not None and self.warmup_steps is not None:
+            raise ValueError("a stage takes warmup_ratio or warmup_steps, not both")
         if self.warmup_ratio is not None and not 0 <= self.warmup_ratio <= 1:
             raise ValueError("warmup_ratio must lie in [0, 1]")
+        if self.warmup_steps is not None and self.warmup_steps < 0:
+            raise ValueError("warmup_steps must be >= 0")
 
 
 @dataclass
 class TrainPlan:
     """Two-stage schedule. Stage 1 trains encoders + head (trunk frozen);
-    stage 2 trains all parameters. Absolute warmup_steps are capped at 10%
-    of the stage's total steps."""
+    stage 2 trains all parameters. A stage warms up by warmup_ratio or by
+    warmup_steps, not both; absolute warmup_steps are capped at 10% of the
+    stage's total steps."""
 
     stage1: StagePlan
     stage2: StagePlan
@@ -391,42 +396,44 @@ class TrainReport:
         return dataclasses.asdict(self)
 
 
+def training_schema(splits: DatasetSplits, include_frac: bool = False) -> Schema:
+    """The schema both residual models train on: the default field table, with
+    categorical vocabularies widened by the configs of all three splits, so
+    every validation config encodes."""
+    return Schema.default(include_frac).with_vocab_from(
+        r.config for r in splits.train + splits.id_val + splits.ood_val
+    )
+
+
 def build_training_rows(
     records: list[RunRecord],
     baseline: ChinchillaPredictor,
     schema: Schema,
-    target_kind: str = "final",
 ):
-    """Feature arrays + residual targets for a record list.
+    """Feature arrays + residual targets for a record list; the schema decides
+    the row kind.
 
-    final mode: one row per record, target = final loss - baseline(N, D).
-    curve mode: up to ``MAX_CURVE_CHECKPOINTS`` evenly spaced smoothed-curve samples
-    per record (plus a frac=1 row for curveless records), residuals taken
-    against the baseline at the full (N, D).
+    plain schema: one row per record, target = final loss - baseline(N, D).
+    frac schema: up to ``MAX_CURVE_CHECKPOINTS`` evenly spaced smoothed-curve
+    samples per record (plus a frac=1 row for curveless records), residuals
+    taken against the baseline at the full (N, D).
     """
     configs, fracs, ys = [], [], []
     records = [r for r in records if r.final_loss is not None]
     bases = baseline.predict_final_loss_batch([r.config for r in records])
     for r, base in zip(records, bases):
-        if target_kind == "final":
-            configs.append(r.config)
-            fracs.append(None)
-            ys.append(r.final_loss - base)
-        elif target_kind == "curve":
-            if r.has_curve:
-                k = min(MAX_CURVE_CHECKPOINTS, len(r.smoothed))
-                idx = np.unique(np.round(np.linspace(0, len(r.smoothed) - 1, k)).astype(int))
-                total = r.config.total_steps
-                for i in idx:
-                    configs.append(r.config)
-                    fracs.append(min(1.0, max(r.steps[i] / total, 1e-9)))
-                    ys.append(r.smoothed[i] - base)
-            else:
+        if schema.include_frac and r.has_curve:
+            k = min(MAX_CURVE_CHECKPOINTS, len(r.smoothed))
+            idx = np.unique(np.round(np.linspace(0, len(r.smoothed) - 1, k)).astype(int))
+            total = r.config.total_steps
+            for i in idx:
                 configs.append(r.config)
-                fracs.append(1.0)
-                ys.append(r.final_loss - base)
+                fracs.append(min(1.0, max(r.steps[i] / total, 1e-9)))
+                ys.append(r.smoothed[i] - base)
         else:
-            raise ValueError(f"unknown target_kind '{target_kind}'")
+            configs.append(r.config)
+            fracs.append(1.0 if schema.include_frac else None)
+            ys.append(r.final_loss - base)
     x_num, x_cat = encode_batch(schema, configs, fracs)
     return x_num, x_cat, np.asarray(ys, dtype=np.float64)
 
@@ -504,23 +511,22 @@ def _run_stage(
 def train(
     splits: DatasetSplits,
     plan: TrainPlan,
-    baselines: dict[Scope, ChinchillaFit],
+    baseline: ChinchillaPredictor,
     target_kind: str = "final",
     arch: Arch = Arch(),
 ) -> "TrainedPredictor":
-    """Two-stage training on residual targets; baselines must come from
-    splits.train only."""
+    """Two-stage training on residual targets; the baseline must be fit on
+    splits.train only. ``target_kind`` "curve" trains on a frac schema."""
     plan.validate()
-    schema = Schema.default(include_frac=(target_kind == "curve")).with_vocab_from(
-        r.config for r in splits.train + splits.id_val + splits.ood_val
-    )
-    baseline = ChinchillaPredictor(baselines)
-    data = build_training_rows(splits.train, baseline, schema, target_kind)
+    if target_kind not in ("final", "curve"):
+        raise ValueError(f"unknown target_kind '{target_kind}'")
+    schema = training_schema(splits, include_frac=(target_kind == "curve"))
+    data = build_training_rows(splits.train, baseline, schema)
     if data[2].size == 0:
         raise TrainingError("no usable training rows")
     val = None
     if splits.id_val:
-        val = build_training_rows(splits.id_val, baseline, schema, target_kind)
+        val = build_training_rows(splits.id_val, baseline, schema)
 
     model = RegressorModel(schema, arch, seed=plan.seed)
     model.set_standardization(data[0])
@@ -614,9 +620,14 @@ class TrainedPredictor:
     @classmethod
     def load(cls, path: str) -> "TrainedPredictor":
         with zipfile.ZipFile(path, "r") as zf:
-            manifest = json.loads(zf.read("manifest.json"))
-            if manifest.get("format") != CHECKPOINT_FORMAT:
-                raise SchemaError(f"unknown checkpoint format {manifest.get('format')!r}")
+            manifest = read_saved(
+                _read_entry(zf, "manifest.json"),
+                ("format", "schema", "schema_hash", "arch", "rng_seed", "baselines",
+                 "report", "param_keys", "buffer_keys"),
+                "checkpoint manifest",
+            )
+            if manifest["format"] != CHECKPOINT_FORMAT:
+                raise SchemaError(f"unknown checkpoint format {manifest['format']!r}")
             schema = Schema.from_saved(manifest)
             if manifest.get("target_kind") != _target_kind(schema):
                 raise SchemaError(
@@ -637,6 +648,13 @@ class TrainedPredictor:
         return cls(model=model, baseline=baseline, report=report)
 
 
+def _read_entry(zf: zipfile.ZipFile, name: str) -> bytes:
+    try:
+        return zf.read(name)
+    except KeyError:
+        raise SchemaError(f"checkpoint lacks '{name}'") from None
+
+
 def _read_blocks(zf: zipfile.ZipFile, folder: str, keys: list[str],
                  want: dict[str, tuple]) -> dict[str, np.ndarray]:
     """Arrays under ``folder/`` for exactly the keys and shapes of ``want``."""
@@ -646,10 +664,7 @@ def _read_blocks(zf: zipfile.ZipFile, folder: str, keys: list[str],
         )
     out = {}
     for key in want:
-        try:
-            arr = np.load(io.BytesIO(zf.read(f"{folder}/{key}.npy")))
-        except KeyError:
-            raise SchemaError(f"checkpoint lacks '{folder}/{key}.npy'") from None
+        arr = np.load(io.BytesIO(_read_entry(zf, f"{folder}/{key}.npy")))
         if arr.shape != want[key]:
             raise SchemaError(
                 f"checkpoint {folder} '{key}' has shape {arr.shape}, "

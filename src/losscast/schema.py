@@ -443,3 +443,17 @@ class Schema:
                 raise SchemaError(f"saved vocabulary for '{s.name}' conflicts with this build")
         return schema
 
+
+def read_saved(text, keys, what: str) -> dict:
+    """The JSON object in ``text`` (a checkpoint manifest or GBT dump header),
+    holding every entry of ``keys``; SchemaError naming the fault otherwise."""
+    try:
+        saved = json.loads(text)
+    except ValueError:
+        raise SchemaError(f"{what} is not valid JSON") from None
+    if not isinstance(saved, dict):
+        raise SchemaError(f"{what} is a JSON {type(saved).__name__}, not an object")
+    for key in keys:
+        if key not in saved:
+            raise SchemaError(f"{what} lacks '{key}'")
+    return saved

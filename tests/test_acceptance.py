@@ -77,7 +77,8 @@ def big_pipeline(oracle):
 def final_model(big_pipeline):
     t0 = time.monotonic()
     predictor = train(
-        big_pipeline["splits"], TrainPlan.final_default(), big_pipeline["baselines"]
+        big_pipeline["splits"], TrainPlan.final_default(),
+        ChinchillaPredictor(big_pipeline["baselines"]),
     )
     return {"predictor": predictor, "seconds": time.monotonic() - t0}
 
@@ -85,10 +86,8 @@ def final_model(big_pipeline):
 @pytest.fixture(scope="module")
 def gbt_model(big_pipeline):
     t0 = time.monotonic()
-    splits = big_pipeline["splits"]
     predictor = fit_gbt(
-        splits.train, big_pipeline["baselines"], GBTParams(),
-        all_records=splits.train + splits.id_val + splits.ood_val,
+        big_pipeline["splits"], ChinchillaPredictor(big_pipeline["baselines"]), GBTParams()
     )
     return {"predictor": predictor, "seconds": time.monotonic() - t0}
 
@@ -103,7 +102,8 @@ def curve_pipeline(oracle):
     splits = split_dataset(kept, seed=SPLIT_SEED)
     baselines = fit_baselines(splits.train)
     predictor = train(
-        splits, TrainPlan.curve_default(), baselines, target_kind="curve"
+        splits, TrainPlan.curve_default(), ChinchillaPredictor(baselines),
+        target_kind="curve",
     )
     return {
         "splits": splits, "predictor": predictor,
@@ -225,7 +225,7 @@ def test_c3_gradient_checks_and_bit_identical_checkpoints(tmp_path, oracle,
     )
     paths = []
     for name in ("a.zip", "b.zip"):
-        predictor = train(splits, plan, baselines)
+        predictor = train(splits, plan, ChinchillaPredictor(baselines))
         path = tmp_path / name
         predictor.save(str(path))
         paths.append(path)
@@ -493,10 +493,7 @@ def test_c9_real_data_gbt_baseline():
     kept, _ = filter_runs(portion)
     splits = split_dataset(kept, seed=SPLIT_SEED)
     baselines = fit_baselines(splits.train)
-    predictor = fit_gbt(
-        splits.train, baselines, GBTParams(),
-        all_records=splits.train + splits.id_val + splits.ood_val,
-    )
+    predictor = fit_gbt(splits, ChinchillaPredictor(baselines), GBTParams())
     m = evaluate_split(predictor, splits.id_val)
     assert m.mae <= 0.02
     assert m.spearman_rho >= 0.98

@@ -4,12 +4,14 @@ import csv
 import json
 import math
 import os
+import zipfile
 
 import numpy as np
 import pytest
 
-from losscast.cli import load_predictor, main
+from losscast.cli import _plan_from_overrides, load_predictor, main
 from losscast.gbt import GBTPredictor
+from losscast.regressor import TrainPlan, _resolve_warmup
 from losscast.ingest import (
     config_from_obj,
     parse_runs,
@@ -203,6 +205,46 @@ def predict_file_against_per_config(model, queries, out):
     want = np.array([predictor.predict_final_loss(config_from_obj(o))
                      for o in read_jsonl(queries)])
     return got, want
+
+
+def test_a_plan_stage_naming_one_warmup_field_drops_the_other():
+    plan = _plan_from_overrides("final", {"stage2": {"warmup_ratio": 0.5}})
+    assert (plan.stage2.warmup_ratio, plan.stage2.warmup_steps) == (0.5, None)
+    assert _resolve_warmup(plan.stage2, 100) == 50
+    plan = _plan_from_overrides("final", {"stage1": {"warmup_steps": 3}})
+    assert (plan.stage1.warmup_ratio, plan.stage1.warmup_steps) == (None, 3)
+    assert plan.stage2 == TrainPlan.final_default().stage2
+    both = _plan_from_overrides("final", {"stage2": {"warmup_ratio": 0.5, "warmup_steps": 9}})
+    with pytest.raises(ValueError, match="not both"):
+        both.validate()
+
+
+def test_train_refuses_a_negative_warmup(pipeline, tmp_path, capsys):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"stage1": {"warmup_steps": -7}}))
+    model = tmp_path / "model.zip"
+    assert main(["train", "--input", str(pipeline["splits"]),
+                 "--fits", str(pipeline["fits"]), "--output", str(model),
+                 "--plan", str(plan)]) == 1
+    err = capsys.readouterr().err
+    assert "error [cli]:" in err and "warmup_steps" in err
+    assert not model.exists()
+
+
+def test_a_model_file_missing_a_header_entry_is_a_schema_error(pipeline, tmp_path, capsys):
+    head, body = pipeline["model"].read_text().split("\n", 1)
+    header = json.loads(head.split(" ", 1)[1])
+    del header["columns"]
+    no_columns = tmp_path / "bad.gbt"
+    no_columns.write_text("#losscast-gbt-1 " + json.dumps(header) + "\n" + body)
+    no_manifest = tmp_path / "bad.zip"
+    with zipfile.ZipFile(no_manifest, "w") as zf:
+        zf.writestr("params/head_b.npy", b"")
+    for model in (no_columns, no_manifest):
+        assert main(["predict", "--model", str(model),
+                     "--input", str(pipeline["splits"] / "id_val.jsonl"),
+                     "--output", str(tmp_path / "preds.jsonl")]) == 1
+        assert "error [schema]:" in capsys.readouterr().err
 
 
 def test_predict_file_matches_per_config_predictions(pipeline, tmp_path):

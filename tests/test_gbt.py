@@ -14,7 +14,7 @@ from losscast.gbt import (
     fit_gbt,
     fit_gbt_arrays,
 )
-from losscast.ingest import record_from_obj
+from losscast.ingest import DatasetSplits, record_from_obj
 from losscast.lawfit import ChinchillaFit, ChinchillaPredictor, Scope
 from losscast.schema import Schema, SchemaError
 from conftest import make_config
@@ -260,7 +260,7 @@ def test_dump_text_round_trip(rng):
 def residual_fixture():
     fit = ChinchillaFit(e=1.7, a=6.2, b=1.8, alpha=0.32, beta=0.28,
                         scope=Scope("synthetic"), objective=0.0, n_points=0)
-    baselines = {Scope("synthetic"): fit}
+    baseline = ChinchillaPredictor({Scope("synthetic"): fit})
     rng = np.random.default_rng(4)
     recs = []
     for i in range(80):
@@ -268,7 +268,7 @@ def residual_fixture():
         cfg = make_config(peak_lr=lr,
                           model_size_n=float(rng.choice([130.0, 215.0])),
                           weight_decay=float(rng.choice([0.1, 0.3])))
-        base = ChinchillaPredictor(baselines).predict_final_loss(cfg)
+        base = baseline.predict_final_loss(cfg)
         recs.append(record_from_obj({
             "source": cfg.source, "model_size_n": cfg.model_size_n,
             "data_size_d": cfg.data_size_d, "total_steps": cfg.total_steps,
@@ -277,20 +277,28 @@ def residual_fixture():
             "final_loss": base + 0.05 * (np.log(lr / 1e-3)) ** 2,
             "run_id": f"g{i}",
         }))
-    return recs, baselines
+    return recs, baseline
 
 
 def test_fit_gbt_learns_residual_structure():
-    recs, baselines = residual_fixture()
-    predictor = fit_gbt(recs, baselines, GBTParams(rounds=150, max_depth=4))
+    recs, baseline = residual_fixture()
+    predictor = fit_gbt(DatasetSplits(recs, [], []), baseline,
+                        GBTParams(rounds=150, max_depth=4))
     errs = [abs(predictor.predict_final_loss(r.config) - r.final_loss)
             for r in recs]
     assert float(np.mean(errs)) < 0.01
 
 
+def test_fit_gbt_refuses_an_empty_train_split():
+    recs, baseline = residual_fixture()
+    with pytest.raises(ValueError, match="empty dataset"):
+        fit_gbt(DatasetSplits([], recs, []), baseline)
+
+
 def test_gbt_predictor_save_load(tmp_path):
-    recs, baselines = residual_fixture()
-    predictor = fit_gbt(recs, baselines, GBTParams(rounds=40, max_depth=3))
+    recs, baseline = residual_fixture()
+    predictor = fit_gbt(DatasetSplits(recs, [], []), baseline,
+                        GBTParams(rounds=40, max_depth=3))
     path = str(tmp_path / "model.gbt")
     predictor.save(path)
     loaded = GBTPredictor.load(path)
@@ -304,8 +312,9 @@ def test_gbt_predictor_save_load(tmp_path):
 
 
 def test_gbt_load_checks_the_field_table(tmp_path):
-    recs, baselines = residual_fixture()
-    predictor = fit_gbt(recs, baselines, GBTParams(rounds=3, max_depth=2))
+    recs, baseline = residual_fixture()
+    predictor = fit_gbt(DatasetSplits(recs, [], []), baseline,
+                        GBTParams(rounds=3, max_depth=2))
     path = tmp_path / "model.gbt"
     predictor.save(str(path))
     head, body = path.read_text().split("\n", 1)
@@ -320,13 +329,24 @@ def test_gbt_load_checks_the_field_table(tmp_path):
     def swap_columns(header):
         header["columns"][:2] = header["columns"][1::-1]
 
+    def drop(key):
+        def edit(header):
+            del header[key]
+        return edit
+
     wide_forest = body.replace(f"n_features={n_cols} ", f"n_features={n_cols + 7} ", 1)
     assert wide_forest != body
     bad = tmp_path / "bad.gbt"
-    for edit, forest in ((rescale_peak_lr, body), (swap_columns, body),
-                         (lambda header: None, wide_forest)):
+    cases = [(rescale_peak_lr, body), (swap_columns, body), (lambda header: None, wide_forest)]
+    cases += [(drop(key), body) for key in ("columns", "schema", "schema_hash", "baselines")]
+    for edit, forest in cases:
         header = json.loads(head.split(" ", 1)[1])
         edit(header)
         bad.write_text("#losscast-gbt-1 " + json.dumps(header) + "\n" + forest)
+        with pytest.raises(SchemaError):
+            GBTPredictor.load(str(bad))
+    # a header that is not a JSON object
+    for text in ("[1, 2]", "{not json"):
+        bad.write_text("#losscast-gbt-1 " + text + "\n" + body)
         with pytest.raises(SchemaError):
             GBTPredictor.load(str(bad))

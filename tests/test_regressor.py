@@ -19,6 +19,7 @@ import losscast
 from losscast.ingest import DatasetSplits, record_from_obj, record_to_obj, split_dataset
 from losscast.lawfit import ChinchillaFit, ChinchillaPredictor, Scope, save_fits
 from losscast.features import encode_batch
+from losscast.gbt import GBTParams, fit_gbt
 from losscast.regressor import (
     MAX_CURVE_CHECKPOINTS,
     Arch,
@@ -32,6 +33,7 @@ from losscast.regressor import (
     gelu,
     lr_schedule,
     train,
+    training_schema,
 )
 from losscast.schema import NUMERICAL, Schema, SchemaError
 from conftest import make_config
@@ -227,7 +229,7 @@ def test_lr_schedule_shape():
 def fixed_baseline():
     fit = ChinchillaFit(e=1.7, a=6.2, b=1.8, alpha=0.32, beta=0.28,
                         scope=Scope("synthetic"), objective=0.0, n_points=0)
-    return {Scope("synthetic"): fit}
+    return ChinchillaPredictor({Scope("synthetic"): fit})
 
 
 def curve_rec(run_id="c0", n_points=200, **over):
@@ -244,33 +246,31 @@ def curve_rec(run_id="c0", n_points=200, **over):
 
 
 def test_final_rows_are_residuals():
-    baselines = fixed_baseline()
+    baseline = fixed_baseline()
     rec = curve_rec()
     schema = Schema.default()
-    x_num, x_cat, y = build_training_rows([rec], ChinchillaPredictor(baselines),
-                                          schema, "final")
+    x_num, x_cat, y = build_training_rows([rec], baseline, schema)
     assert y.shape == (1,)
-    base = ChinchillaPredictor(baselines).predict_final_loss(rec.config)
+    base = baseline.predict_final_loss(rec.config)
     assert y[0] == pytest.approx(rec.final_loss - base, rel=1e-12)
 
 
 def test_curve_rows_subsample_the_smoothed_curve():
-    baselines = fixed_baseline()
+    baseline = fixed_baseline()
     rec = curve_rec(n_points=500)
     schema = Schema.default(include_frac=True)
-    x_num, x_cat, y = build_training_rows([rec], ChinchillaPredictor(baselines),
-                                          schema, "curve")
+    x_num, x_cat, y = build_training_rows([rec], baseline, schema)
     assert y.shape[0] == MAX_CURVE_CHECKPOINTS == 30
     fr = x_num[:, -1]  # frac is the last numerical field
     assert fr[0] > 0.0 and fr[-1] == pytest.approx(1.0)
     assert np.all(np.diff(fr) > 0)
-    base = ChinchillaPredictor(baselines).predict_final_loss(rec.config)
+    base = baseline.predict_final_loss(rec.config)
     assert y[-1] == pytest.approx(rec.final_loss - base, rel=1e-12)
     assert y[0] == pytest.approx(rec.smoothed[0] - base, rel=1e-12)
 
 
 def test_curveless_record_contributes_one_final_row_in_curve_mode():
-    baselines = fixed_baseline()
+    baseline = fixed_baseline()
     cfg = make_config()
     rec = record_from_obj({
         "source": cfg.source, "model_size_n": cfg.model_size_n,
@@ -279,8 +279,7 @@ def test_curveless_record_contributes_one_final_row_in_curve_mode():
         "batch_size": cfg.batch_size, "final_loss": 3.1, "run_id": "nf",
     })
     schema = Schema.default(include_frac=True)
-    x_num, _, y = build_training_rows([rec], ChinchillaPredictor(baselines),
-                                      schema, "curve")
+    x_num, _, y = build_training_rows([rec], baseline, schema)
     assert y.shape == (1,)
     assert x_num[0, -1] == 1.0
 
@@ -305,6 +304,28 @@ def tiny_splits(k_train=24, k_val=6):
     return DatasetSplits(train=recs[:k_train], id_val=recs[k_train:], ood_val=[])
 
 
+def test_both_residual_models_encode_a_token_seen_only_in_ood_val():
+    base = tiny_splits()
+    cfg = make_config(optimizer="sophia", model_size_n=300.0)
+    ood = record_from_obj({
+        "source": cfg.source, "model_size_n": cfg.model_size_n,
+        "data_size_d": cfg.data_size_d, "total_steps": cfg.total_steps,
+        "optimizer": cfg.optimizer, "peak_lr": cfg.peak_lr,
+        "batch_size": cfg.batch_size, "final_loss": 3.0, "run_id": "ood",
+    })
+    splits = DatasetSplits(train=base.train, id_val=base.id_val, ood_val=[ood])
+    assert "sophia" not in Schema.default().spec("optimizer").vocabulary
+    assert all(r.config.optimizer != "sophia" for r in splits.train + splits.id_val)
+
+    neural = train(splits, tiny_plan(), fixed_baseline(), arch=TINY)
+    curve = train(splits, tiny_plan(), fixed_baseline(), target_kind="curve", arch=TINY)
+    gbt = fit_gbt(splits, fixed_baseline(), GBTParams(rounds=3, max_depth=2))
+    assert neural.model.schema == gbt.schema == training_schema(splits)
+    assert curve.model.schema == training_schema(splits, include_frac=True)
+    for predictor in (neural, curve, gbt):
+        assert math.isfinite(predictor.predict_final_loss(ood.config))
+
+
 def tiny_plan(seed=0, s1=3, s2=5):
     return TrainPlan(
         stage1=StagePlan(epochs=s1, peak_lr=3e-3, warmup_ratio=0.1),
@@ -315,12 +336,12 @@ def tiny_plan(seed=0, s1=3, s2=5):
 
 def test_training_is_deterministic_and_seed_sensitive():
     splits = tiny_splits()
-    baselines = fixed_baseline()
-    a = train(splits, tiny_plan(seed=1), baselines, arch=TINY)
-    b = train(splits, tiny_plan(seed=1), baselines, arch=TINY)
+    baseline = fixed_baseline()
+    a = train(splits, tiny_plan(seed=1), baseline, arch=TINY)
+    b = train(splits, tiny_plan(seed=1), baseline, arch=TINY)
     for k in a.model.params:
         np.testing.assert_array_equal(a.model.params[k], b.model.params[k])
-    c = train(splits, tiny_plan(seed=2), baselines, arch=TINY)
+    c = train(splits, tiny_plan(seed=2), baseline, arch=TINY)
     assert any(not np.array_equal(a.model.params[k], c.model.params[k])
                for k in a.model.params)
 
@@ -433,13 +454,36 @@ def test_checkpoint_rejects_missing_or_misshapen_buffers(tmp_path):
         edit.__name__ = f"kind_{value}"
         return edit
 
+    def drop(key):
+        def edit(manifest, entries):
+            del manifest[key]
+        edit.__name__ = f"drop_{key}"
+        return edit
+
     cases = [(path, edit) for edit in (drop_listed, drop_entry, wrong_shape, extra_buffer)]
     cases += [(path, kind("curve")),        # curve on a final schema
               (curve_path, kind("final")),  # final on a curve schema
               (path, kind("bogus"))]
+    cases += [(path, drop(key)) for key in ("format", "schema", "schema_hash", "arch",
+                                            "rng_seed", "baselines", "report",
+                                            "param_keys", "buffer_keys")]
     for i, (src, edit) in enumerate(cases):
         bad = str(tmp_path / f"{i}_{edit.__name__}.ckpt")
         rewrite_checkpoint(src, bad, edit)
+        with pytest.raises(SchemaError):
+            TrainedPredictor.load(bad)
+
+    # a manifest that is not a JSON object, and a zip without one
+    with zipfile.ZipFile(path) as zf:
+        entries = {name: zf.read(name) for name in zf.namelist()}
+    for i, manifest in enumerate((b"[1, 2]", b"{not json", None)):
+        bad = str(tmp_path / f"manifest{i}.ckpt")
+        with zipfile.ZipFile(bad, "w") as zf:
+            for name, payload in entries.items():
+                if name != "manifest.json":
+                    zf.writestr(name, payload)
+                elif manifest is not None:
+                    zf.writestr(name, manifest)
         with pytest.raises(SchemaError):
             TrainedPredictor.load(bad)
 
@@ -481,6 +525,15 @@ def test_checkpoint_loads_without_a_random_draw(tmp_path, monkeypatch):
                                   predictor.predict_final_loss_batch(configs))
 
 
+def test_a_stage_takes_one_non_negative_warmup():
+    StagePlan(epochs=1, peak_lr=1e-3, warmup_steps=0).validate()
+    StagePlan(epochs=1, peak_lr=1e-3, warmup_ratio=0.5).validate()
+    for stage in (StagePlan(epochs=1, peak_lr=1e-3, warmup_ratio=0.1, warmup_steps=5),
+                  StagePlan(epochs=1, peak_lr=1e-3, warmup_steps=-7)):
+        with pytest.raises(ValueError, match="warmup"):
+            stage.validate()
+
+
 def test_final_model_refuses_curve_queries():
     predictor = train(tiny_splits(), tiny_plan(), fixed_baseline(), arch=TINY)
     with pytest.raises(ValueError):
@@ -496,7 +549,7 @@ def test_checkpoints_do_not_depend_on_the_blas_thread_count(small_records, tmp_p
     for name in ("train", "id_val", "ood_val"):
         (data / f"{name}.jsonl").write_text("".join(
             json.dumps(record_to_obj(r)) + "\n" for r in getattr(splits, name)))
-    save_fits(fixed_baseline(), tmp_path / "fits")
+    save_fits(fixed_baseline().fits, tmp_path / "fits")
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps({"stage1": {"epochs": 1}, "stage2": {"epochs": 1}}))
 
