@@ -11,6 +11,17 @@ weight decay), linear warmup then linear decay to zero, in two stages: stage
 optimizer state reset in between. All arithmetic is 64-bit; forward, backward
 and the update rule are hand-written numpy.
 
+A batch repeats few values per numerical field (a curve run's rows share one
+config), so the encoder's elementwise part -- its first layer, GELU and, in
+backward, the GELU derivative -- runs once per distinct value of each field
+(by bit pattern) and is gathered back to (batch, field, hidden). Elementwise
+arithmetic gives an entry the same bits whichever array holds it, and the
+matmuls and batch sums still run over every row in their original layout and
+order, so outputs, gradients and checkpoints are bit-identical to evaluating
+every row. A training step writes into buffers the model keeps from step to
+step, not into fresh temporaries, with every operation in its original order;
+an inference pass works in buffers of its own, freed when it returns.
+
 Numerical slots are additionally standardized inside the model using training
 -set statistics (stored as buffers in the checkpoint); canonical scale factors
 alone leave fields on wildly different ranges, which stalls first-order
@@ -48,18 +59,60 @@ _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-def norm_cdf(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + erf(x / _SQRT2))
+def norm_cdf(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """0.5 * (1 + erf(x / sqrt 2)), written into ``out`` if given."""
+    out = np.divide(x, _SQRT2, out=out)
+    erf(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    return x * norm_cdf(x)
+def gelu_grad(x: np.ndarray, cdf: np.ndarray, out: np.ndarray | None = None,
+              work: np.ndarray | None = None) -> np.ndarray:
+    """d/dx of x * norm_cdf(x), given ``cdf`` = norm_cdf(x): cdf + x * phi(x).
+    Written into ``out`` if given; ``work``, of x's shape, is overwritten."""
+    out = np.multiply(x, _INV_SQRT_2PI, out=out)
+    work = np.multiply(x, -0.5, out=work)
+    work *= x
+    np.exp(work, out=work)
+    out *= work
+    out += cdf
+    return out
 
 
-def gelu_grad(x: np.ndarray, cdf: np.ndarray | None = None) -> np.ndarray:
-    if cdf is None:
-        cdf = norm_cdf(x)
-    return cdf + x * _INV_SQRT_2PI * np.exp(-0.5 * x * x)
+def _distinct_per_field(xs: np.ndarray):
+    """The distinct values of each column of ``xs`` by bit pattern, found for
+    all columns in one sort, so -0.0 and +0.0 stay apart.
+
+    Returns ``(values, field, index)``: the distinct values column after
+    column, the column of each, and for every entry of ``xs`` the position of
+    its value in ``values``."""
+    bits = xs.view(np.int64)
+    order = np.argsort(bits, axis=0)
+    cols = np.arange(xs.shape[1])
+    ranked = bits[order, cols].T                # each column sorted, as a row
+    new = np.empty(ranked.shape, dtype=bool)    # first of its value in the row
+    new[:, :1] = True
+    np.not_equal(ranked[:, 1:], ranked[:, :-1], out=new[:, 1:])
+    index = np.empty_like(order)
+    index[order, cols] = (np.cumsum(new) - 1).reshape(new.shape).T
+    return ranked[new].view(np.float64), np.nonzero(new)[0], index
+
+
+class _Scratch:
+    """Float64 work arrays by name, each reused from call to call and grown to
+    the largest size asked of it, handed out as C-ordered views."""
+
+    def __init__(self):
+        self._flat: dict[str, np.ndarray] = {}
+
+    def __call__(self, name: str, shape: tuple) -> np.ndarray:
+        size = math.prod(shape)
+        flat = self._flat.get(name)
+        if flat is None or flat.size < size:
+            flat = self._flat[name] = np.empty(size)
+        return flat[:size].reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -200,18 +253,17 @@ class RegressorModel:
         self.schema = schema
         self.arch = arch
         self.rng_seed = seed
+        self._scratch = _Scratch()
         self.num_fields = schema.numerical_fields()
         self.cat_fields = schema.categorical_fields()
-        # schema-order layout of the trunk input: ("num", j) or ("cat", k) per field
-        self.layout: list[tuple[str, int]] = []
-        nj = ck = 0
-        for s in schema.specs:
-            if s.kind == NUMERICAL:
-                self.layout.append(("num", nj))
-                nj += 1
-            else:
-                self.layout.append(("cat", ck))
-                ck += 1
+        # the trunk input holds one d_emb block per field, in schema order
+        numerical = np.array([s.kind == NUMERICAL for s in schema.specs])
+        self.num_pos = np.flatnonzero(numerical)
+        self.cat_pos = np.flatnonzero(~numerical)
+        # first row of each categorical field's table in the tables stacked
+        sizes = [len(s.vocabulary) for s in self.cat_fields]
+        self.cat_offsets = np.cumsum([0] + sizes[:-1], dtype=np.int64)
+        self.cat_rows = sum(sizes)
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -236,48 +288,63 @@ class RegressorModel:
     # -- forward / backward ------------------------------------------------
 
     def forward_batch(self, x_num, x_cat, want_cache: bool = False):
+        """Predicted residuals of a batch. With ``want_cache``, also the cache
+        ``backward_batch`` reads; it holds the model's reusable buffers, so it
+        is valid until the model's next forward pass with ``want_cache``."""
         self._check_shapes(x_num, x_cat)
         p = self.params
         buf = self.buffers
+        # a training pass works in buffers reused from step to step; an
+        # inference pass (validation, prediction) in its own, freed on return
+        work = self._scratch if want_cache else _Scratch()
+        b, nf, dh, de = x_num.shape[0], len(self.num_fields), self.arch.d_hid, self.arch.d_emb
         x_num = np.clip(x_num, buf["num_min"], buf["num_max"])
         xs = (x_num - buf["num_mean"]) / buf["num_std"]
-        pre1 = xs[:, :, None] * p["num_w1"][None, :, :] + p["num_b1"][None, :, :]
+        # the encoder's elementwise part runs once per distinct field value;
+        # elementwise arithmetic gives each entry the same bits either way
+        values, field, index = _distinct_per_field(xs)
+        pre1 = values[:, None] * p["num_w1"][field] + p["num_b1"][field]
         cdf1 = norm_cdf(pre1)
-        h1 = pre1 * cdf1
+        # every index is in range by construction; mode="clip" spares take a
+        # buffered copy of its output
+        h1 = np.take(pre1 * cdf1, index, axis=0, out=work("h1", (b, nf, dh)), mode="clip")
         # (F, B, H) @ (F, H, E) -> (F, B, E); stacked matmul hits BLAS per field
-        enc = np.matmul(h1.transpose(1, 0, 2), p["num_w2"]).transpose(1, 0, 2)
-        enc = enc + p["num_b2"][None, :, :]
+        enc = np.matmul(h1.transpose(1, 0, 2), p["num_w2"],
+                        out=work("enc", (nf, b, de)))
+        enc += p["num_b2"][:, None, :]
 
-        blocks = []
-        for kind, j in self.layout:
-            if kind == "num":
-                blocks.append(enc[:, j, :])
-            else:
-                name = self.cat_fields[j].name
-                blocks.append(p[f"emb_{name}"][x_cat[:, j]])
-        z = np.concatenate(blocks, axis=1)
+        # the trunk input: each field's d_emb block at its schema position
+        tables = np.concatenate([p[f"emb_{f.name}"] for f in self.cat_fields])
+        z = work("z", (b, len(self.schema.specs), de))
+        z[:, self.num_pos] = enc.transpose(1, 0, 2)
+        z[:, self.cat_pos] = tables[x_cat + self.cat_offsets]
 
-        pre_acts, cdfs, acts = [], [], [z]
+        pre_acts, cdfs, acts = [], [], [z.reshape(b, -1)]
         for i in range(self.arch.trunk_layers):
-            a = acts[-1] @ p[f"trunk_w{i}"] + p[f"trunk_b{i}"]
-            cdf = norm_cdf(a)
+            w = p[f"trunk_w{i}"]
+            tag = i if want_cache else 0    # inference keeps one layer at a time
+            a = np.matmul(acts[-1], w, out=work(f"pre{tag}", (b, w.shape[1])))
+            a += p[f"trunk_b{i}"]
+            cdf = norm_cdf(a, out=work(f"cdf{tag}", a.shape))
             pre_acts.append(a)
             cdfs.append(cdf)
-            acts.append(a * cdf)
+            acts.append(np.multiply(a, cdf, out=work(f"act{tag}", a.shape)))
         out = (acts[-1] @ p["head_w"] + p["head_b"])[:, 0]
         if not want_cache:
             return out
-        cache = {"xs": xs, "pre1": pre1, "cdf1": cdf1, "h1": h1, "x_cat": x_cat,
-                 "pre_acts": pre_acts, "cdfs": cdfs, "acts": acts}
+        cache = {"xs": xs, "pre1": pre1, "cdf1": cdf1, "index": index, "h1": h1,
+                 "x_cat": x_cat, "pre_acts": pre_acts, "cdfs": cdfs, "acts": acts}
         return out, cache
 
     def backward_batch(self, out, targets, cache, skip: set[str] = frozenset()):
         """Gradients of mean squared error over the batch.
 
         ``skip`` names parameter blocks whose gradients are not needed
-        (frozen); backpropagation still flows through them.
+        (frozen); backpropagation still flows through them. The cache is
+        only read, so one cache can be differentiated more than once.
         """
         p = self.params
+        work = self._scratch
         b = out.shape[0]
         grads: dict[str, np.ndarray] = {}
         dout = (2.0 / b) * (out - targets)
@@ -286,35 +353,46 @@ class RegressorModel:
         if "head_w" not in skip:
             grads["head_w"] = acts[-1].T @ dout[:, None]
             grads["head_b"] = np.array([dout.sum()])
-        dz = dout[:, None] @ p["head_w"].T
+        # each layer reads dz once, into da, so its own dz can take dz's place
+        dz = np.matmul(dout[:, None], p["head_w"].T, out=work("dz", (b, p["head_w"].shape[0])))
         for i in reversed(range(self.arch.trunk_layers)):
-            da = dz * gelu_grad(pre_acts[i], cache["cdfs"][i])
+            w = p[f"trunk_w{i}"]
+            da = work("da", pre_acts[i].shape)
+            dgelu = gelu_grad(pre_acts[i], cache["cdfs"][i], out=work("dgelu", da.shape),
+                              work=da)
+            np.multiply(dz, dgelu, out=da)
             if f"trunk_w{i}" not in skip:
                 grads[f"trunk_w{i}"] = acts[i].T @ da
                 grads[f"trunk_b{i}"] = da.sum(axis=0)
-            dz = da @ p[f"trunk_w{i}"].T
+            dz = np.matmul(da, w.T, out=work("dz", (b, w.shape[0])))
 
         de = self.arch.d_emb
-        dnum = np.empty((b, len(self.num_fields), de))
-        for pos, (kind, j) in enumerate(self.layout):
-            block = dz[:, pos * de:(pos + 1) * de]
-            if kind == "num":
-                dnum[:, j, :] = block
-            else:
-                name = self.cat_fields[j].name
-                key = f"emb_{name}"
+        nf, dh = len(self.num_fields), self.arch.d_hid
+        dz = dz.reshape(b, len(self.schema.specs), de)
+        dnum = np.take(dz, self.num_pos, axis=1, out=work("dnum", (b, nf, de)), mode="clip")
+        emb_keys = [f"emb_{f.name}" for f in self.cat_fields]
+        if not skip.issuperset(emb_keys):
+            # one bincount over the stacked tables adds each row's gradient in
+            # batch order, as np.add.at does
+            rows = cache["x_cat"] + self.cat_offsets
+            slot = (rows[:, :, None] * de + np.arange(de)).ravel()
+            stacked = np.bincount(slot, weights=dz[:, self.cat_pos].ravel(),
+                                  minlength=self.cat_rows * de).reshape(self.cat_rows, de)
+            for key, lo, f in zip(emb_keys, self.cat_offsets.tolist(), self.cat_fields):
                 if key not in skip:
-                    g = np.zeros_like(p[key])
-                    np.add.at(g, cache["x_cat"][:, j], block)
-                    grads[key] = g
+                    grads[key] = stacked[lo:lo + len(f.vocabulary)]
 
         if "num_w1" not in skip:
             dnum_f = dnum.transpose(1, 0, 2)        # (F, B, E)
             grads["num_w2"] = np.matmul(cache["h1"].transpose(1, 2, 0), dnum_f)
             grads["num_b2"] = dnum.sum(axis=0)
-            dh1 = np.matmul(dnum_f, p["num_w2"].transpose(0, 2, 1)).transpose(1, 0, 2)
-            dpre1 = dh1 * gelu_grad(cache["pre1"], cache["cdf1"])
-            grads["num_w1"] = (cache["xs"][:, :, None] * dpre1).sum(axis=0)
+            dh1 = np.matmul(dnum_f, p["num_w2"].transpose(0, 2, 1),
+                            out=work("dh1", (nf, b, dh))).transpose(1, 0, 2)
+            dpre1 = np.take(gelu_grad(cache["pre1"], cache["cdf1"]), cache["index"],
+                            axis=0, out=work("dpre1", (b, nf, dh)), mode="clip")
+            dpre1 *= dh1
+            grads["num_w1"] = np.multiply(cache["xs"][:, :, None], dpre1,
+                                          out=work("dh1", (b, nf, dh))).sum(axis=0)
             grads["num_b1"] = dpre1.sum(axis=0)
         return grads
 
@@ -325,19 +403,23 @@ class RegressorModel:
                 f"categorical) do not match the model's schema "
                 f"({len(self.num_fields)}, {len(self.cat_fields)})"
             )
-        for j, s in enumerate(self.cat_fields):
-            hi = int(x_cat[:, j].max(initial=0))
-            if hi >= len(s.vocabulary):
-                raise ValueError(f"categorical index {hi} out of range for '{s.name}'")
+        lows, highs = x_cat.min(axis=0, initial=0), x_cat.max(axis=0, initial=0)
+        for s, lo, hi in zip(self.cat_fields, lows.tolist(), highs.tolist()):
+            for index in (lo, hi):
+                if not 0 <= index < len(s.vocabulary):
+                    raise ValueError(f"categorical index {index} out of range for '{s.name}'")
 
 
 # -- optimizer -------------------------------------------------------------------
 
 def adamw_init_state(params: dict, keys) -> dict:
+    keys = list(keys)
+    largest = max((params[k].size for k in keys), default=0)
     return {
         "t": 0,
         "m": {k: np.zeros_like(params[k]) for k in keys},
         "v": {k: np.zeros_like(params[k]) for k in keys},
+        "work": np.empty((2, largest)),     # scratch for one block's update
     }
 
 
@@ -359,13 +441,22 @@ def adamw_step(params, grads, state, lr, beta1=0.9, beta2=0.999,
         g = grads[k]
         m = state["m"][k]
         v = state["v"][k]
+        p = params[k]
+        step, tmp = (w[:g.size].reshape(g.shape) for w in state["work"])
         m *= beta1
-        m += (1.0 - beta1) * g
+        m += np.multiply(g, 1.0 - beta1, out=tmp)
         v *= beta2
-        v += (1.0 - beta2) * g * g
-        m_hat = m / bc1
-        v_hat = v / bc2
-        params[k] -= lr * (m_hat / (np.sqrt(v_hat) + epsilon) + weight_decay * params[k])
+        np.multiply(g, 1.0 - beta2, out=tmp)
+        tmp *= g
+        v += tmp
+        np.divide(m, bc1, out=step)     # m_hat
+        np.divide(v, bc2, out=tmp)      # v_hat
+        np.sqrt(tmp, out=tmp)
+        tmp += epsilon
+        step /= tmp
+        step += np.multiply(p, weight_decay, out=tmp)
+        step *= lr
+        p -= step
     return params, state
 
 
@@ -635,6 +726,7 @@ class TrainedPredictor:
                     f"match its schema, which makes a {_target_kind(schema)!r} model"
                 )
             baseline = ChinchillaPredictor.from_dump(manifest["baselines"])
+            _check_header(manifest)
             arch = Arch(**manifest["arch"])
             shapes, buffer_shapes = parameter_shapes(schema, arch)
             model = RegressorModel.from_arrays(
@@ -646,6 +738,25 @@ class TrainedPredictor:
             report.train_mse = [tuple(x) for x in report.train_mse]
             report.val_mae = [tuple(x) for x in report.val_mae]
         return cls(model=model, baseline=baseline, report=report)
+
+
+def _field_names(cls) -> list[str]:
+    return sorted(f.name for f in dataclasses.fields(cls))
+
+
+def _check_header(manifest: dict):
+    """The manifest's arch, rng_seed and report, as ``save`` writes them."""
+    arch = manifest["arch"]
+    if (not isinstance(arch, dict) or sorted(arch) != _field_names(Arch)
+            or not all(type(v) is int and v > 0 for v in arch.values())):
+        raise SchemaError(
+            f"checkpoint arch {arch!r} is not {_field_names(Arch)} as positive integers")
+    if type(manifest["rng_seed"]) is not int:
+        raise SchemaError(f"checkpoint rng_seed {manifest['rng_seed']!r} is not an integer")
+    report = manifest["report"]
+    if not isinstance(report, dict) or sorted(report) != _field_names(TrainReport):
+        raise SchemaError(
+            f"checkpoint report does not hold exactly {_field_names(TrainReport)}")
 
 
 def _read_entry(zf: zipfile.ZipFile, name: str) -> bytes:

@@ -9,6 +9,7 @@ import dataclasses
 import math
 import os
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -180,7 +181,7 @@ def test_c3_gradient_checks_and_bit_identical_checkpoints(tmp_path, oracle,
     schema = Schema.default()
     model = RegressorModel(schema, Arch(4, 4, 2, 8), seed=1)
     for key in model.params:  # zero-init head/biases would hide gradient bugs
-        rng = np.random.default_rng(hash(key) % 2**32)
+        rng = np.random.default_rng(zlib.crc32(key.encode()))
         model.params[key] = rng.normal(0.0, 0.3, size=model.params[key].shape)
     configs = [
         make_config(peak_lr=lr, batch_size=bs, optimizer=opt)

@@ -30,12 +30,13 @@ from losscast.regressor import (
     adamw_init_state,
     adamw_step,
     build_training_rows,
-    gelu,
     lr_schedule,
+    norm_cdf,
     train,
     training_schema,
 )
 from losscast.schema import NUMERICAL, Schema, SchemaError
+from losscast.synth import generate_synthetic_runs
 from conftest import make_config
 
 TINY = Arch(d_emb=4, d_hid=4, trunk_layers=2, trunk_width=8)
@@ -123,10 +124,24 @@ def test_inputs_beyond_the_standardization_rows_predict_as_the_range_edge():
 
 
 def test_gelu_values():
+    def gelu(x):
+        return x * norm_cdf(x)
+
     assert gelu(np.array([0.0]))[0] == 0.0
     # large positive ~ identity, large negative ~ 0
     assert gelu(np.array([20.0]))[0] == pytest.approx(20.0)
     assert gelu(np.array([-20.0]))[0] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_categorical_indices_outside_the_vocabulary_are_refused():
+    model = tiny_model()
+    x_num, x_cat = batch_of_configs(3)
+    size = len(model.cat_fields[0].vocabulary)
+    for bad in (-1, size):
+        wrong = x_cat.copy()
+        wrong[1, 0] = bad
+        with pytest.raises(ValueError, match=f"categorical index {bad} out of range"):
+            model.forward_batch(x_num, wrong)
 
 
 def test_gradients_against_finite_differences():
@@ -173,6 +188,217 @@ def test_backward_skip_omits_blocks_but_keeps_flow():
     assert not any(k.startswith("trunk_") for k in frozen)
     for k in frozen:
         np.testing.assert_array_equal(frozen[k], full[k])
+
+
+# -- the step against its reference implementation --------------------------------
+#
+# The model's step evaluates the encoder's elementwise part once per distinct
+# field value, writes into reusable buffers and scatters embedding gradients
+# with bincount. These are the step's bodies as first written, every entry
+# through the encoder; the step must reproduce them bit for bit.
+
+def reference_norm_cdf(x):
+    return 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+
+
+def reference_gelu_grad(x, cdf):
+    return cdf + x * (1.0 / math.sqrt(2.0 * math.pi)) * np.exp(-0.5 * x * x)
+
+
+def reference_forward(model, x_num, x_cat):
+    p = model.params
+    buf = model.buffers
+    x_num = np.clip(x_num, buf["num_min"], buf["num_max"])
+    xs = (x_num - buf["num_mean"]) / buf["num_std"]
+    pre1 = xs[:, :, None] * p["num_w1"][None, :, :] + p["num_b1"][None, :, :]
+    cdf1 = reference_norm_cdf(pre1)
+    h1 = pre1 * cdf1
+    enc = np.matmul(h1.transpose(1, 0, 2), p["num_w2"]).transpose(1, 0, 2)
+    enc = enc + p["num_b2"][None, :, :]
+
+    blocks, nj, ck = [], 0, 0
+    for spec in model.schema.specs:
+        if spec.kind == NUMERICAL:
+            blocks.append(enc[:, nj, :])
+            nj += 1
+        else:
+            blocks.append(p[f"emb_{spec.name}"][x_cat[:, ck]])
+            ck += 1
+    z = np.concatenate(blocks, axis=1)
+
+    pre_acts, cdfs, acts = [], [], [z]
+    for i in range(model.arch.trunk_layers):
+        a = acts[-1] @ p[f"trunk_w{i}"] + p[f"trunk_b{i}"]
+        cdf = reference_norm_cdf(a)
+        pre_acts.append(a)
+        cdfs.append(cdf)
+        acts.append(a * cdf)
+    out = (acts[-1] @ p["head_w"] + p["head_b"])[:, 0]
+    cache = {"xs": xs, "pre1": pre1, "cdf1": cdf1, "h1": h1, "x_cat": x_cat,
+             "pre_acts": pre_acts, "cdfs": cdfs, "acts": acts}
+    return out, cache
+
+
+def reference_backward(model, out, targets, cache, skip=frozenset()):
+    p = model.params
+    b = out.shape[0]
+    grads = {}
+    dout = (2.0 / b) * (out - targets)
+
+    acts, pre_acts = cache["acts"], cache["pre_acts"]
+    if "head_w" not in skip:
+        grads["head_w"] = acts[-1].T @ dout[:, None]
+        grads["head_b"] = np.array([dout.sum()])
+    dz = dout[:, None] @ p["head_w"].T
+    for i in reversed(range(model.arch.trunk_layers)):
+        da = dz * reference_gelu_grad(pre_acts[i], cache["cdfs"][i])
+        if f"trunk_w{i}" not in skip:
+            grads[f"trunk_w{i}"] = acts[i].T @ da
+            grads[f"trunk_b{i}"] = da.sum(axis=0)
+        dz = da @ p[f"trunk_w{i}"].T
+
+    de = model.arch.d_emb
+    dnum = np.empty((b, len(model.num_fields), de))
+    nj = ck = 0
+    for pos, spec in enumerate(model.schema.specs):
+        block = dz[:, pos * de:(pos + 1) * de]
+        if spec.kind == NUMERICAL:
+            dnum[:, nj, :] = block
+            nj += 1
+        else:
+            key = f"emb_{spec.name}"
+            if key not in skip:
+                g = np.zeros_like(p[key])
+                np.add.at(g, cache["x_cat"][:, ck], block)
+                grads[key] = g
+            ck += 1
+
+    if "num_w1" not in skip:
+        dnum_f = dnum.transpose(1, 0, 2)
+        grads["num_w2"] = np.matmul(cache["h1"].transpose(1, 2, 0), dnum_f)
+        grads["num_b2"] = dnum.sum(axis=0)
+        dh1 = np.matmul(dnum_f, p["num_w2"].transpose(0, 2, 1)).transpose(1, 0, 2)
+        dpre1 = dh1 * reference_gelu_grad(cache["pre1"], cache["cdf1"])
+        grads["num_w1"] = (cache["xs"][:, :, None] * dpre1).sum(axis=0)
+        grads["num_b1"] = dpre1.sum(axis=0)
+    return grads
+
+
+def reference_adamw_step(params, grads, state, lr, beta1, beta2, epsilon, weight_decay):
+    state["t"] += 1
+    t = state["t"]
+    bc1 = 1.0 - beta1**t
+    bc2 = 1.0 - beta2**t
+    for k in state["m"]:
+        g = grads[k]
+        m = state["m"][k]
+        v = state["v"][k]
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        m_hat = m / bc1
+        v_hat = v / bc2
+        params[k] -= lr * (m_hat / (np.sqrt(v_hat) + epsilon) + weight_decay * params[k])
+
+
+def assert_same_bits(got, want, what):
+    assert got.shape == want.shape and got.dtype == want.dtype, what
+    assert got.tobytes() == want.tobytes(), what
+
+
+def step_batch(include_frac, rows=40):
+    """A batch in which configs repeat, as they do in curve rows and designs."""
+    schema = Schema.default(include_frac)
+    rng = np.random.default_rng(4)
+    distinct = [make_config(peak_lr=float(lr), batch_size=float(bs), optimizer=opt,
+                            model_size_n=float(n))
+                for lr, bs, opt, n in zip((1e-3, 3e-3, 5e-4, 8e-3, 2e-3, 1e-3),
+                                          (256, 512, 96, 1024, 480, 96),
+                                          ("adamw", "lion", "adamw", "muon", "adamw", "lion"),
+                                          (130, 215, 130, 300, 520, 215))]
+    configs = [distinct[i] for i in rng.integers(0, len(distinct), size=rows)]
+    fracs = None
+    if include_frac:
+        fracs = [float(f) for f in rng.choice([0.1, 0.25, 0.5, 1.0], size=rows)]
+    x_num, x_cat = encode_batch(schema, configs, fracs)
+    return schema, x_num, x_cat, rng.normal(0.0, 0.1, size=rows)
+
+
+def randomized_model(schema, x_num):
+    model = RegressorModel(schema, Arch(), seed=0)
+    model.set_standardization(x_num)
+    rng = np.random.default_rng(7)
+    for k in model.params:  # zero-init head and biases would hide differences
+        model.params[k] = rng.normal(0.0, 0.3, size=model.params[k].shape)
+    return model
+
+
+def assert_step_matches_reference(model, x_num, x_cat, targets):
+    out, cache = model.forward_batch(x_num, x_cat, want_cache=True)
+    # an inference pass between forward and backward, as validation makes,
+    # leaves the training cache alone
+    model.forward_batch(np.repeat(x_num, 3, axis=0), np.repeat(x_cat, 3, axis=0))
+    want_out, want_cache = reference_forward(model, x_num, x_cat)
+    assert_same_bits(out, want_out, "out")
+    assert_same_bits(cache["h1"], want_cache["h1"], "encoder activations")
+    stage1_skip = set(model.trunk_keys())
+    for skip in (frozenset(), stage1_skip):
+        grads = model.backward_batch(out, targets, cache, skip=skip)
+        want = reference_backward(model, want_out, targets, want_cache, skip=skip)
+        assert sorted(grads) == sorted(want)
+        for k in want:
+            assert_same_bits(grads[k], want[k], f"gradient {k}, skip {sorted(skip)}")
+
+
+@pytest.mark.parametrize("include_frac", [False, True], ids=["final", "curve"])
+def test_step_reproduces_its_reference_bit_for_bit(include_frac):
+    schema, x_num, x_cat, targets = step_batch(include_frac)
+    assert len(np.unique(x_num, axis=0)) < x_num.shape[0]  # configs repeat
+    model = randomized_model(schema, x_num)
+    assert_step_matches_reference(model, x_num, x_cat, targets)
+    assert_step_matches_reference(model, x_num[:1], x_cat[:1], targets[:1])
+
+
+@pytest.mark.parametrize("include_frac", [False, True], ids=["final", "curve"])
+def test_step_keeps_negative_and_positive_zero_apart(include_frac):
+    schema, x_num, x_cat, targets = step_batch(include_frac)
+    model = randomized_model(schema, x_num)
+    # one field standardizes to -0.0 in some rows and +0.0 in the others; a
+    # -0.0 bias keeps the sign through the encoder's first layer
+    j = 0
+    x_num[:, j] = np.where(np.arange(x_num.shape[0]) % 3 == 0, -0.0, 0.0)
+    for name, value in (("num_mean", 0.0), ("num_std", 1.0), ("num_min", -1.0),
+                        ("num_max", 1.0)):
+        model.buffers[name][j] = value
+    model.params["num_b1"][j] = -0.0
+    model.params["num_w1"][j] = np.abs(model.params["num_w1"][j]) + 0.1
+    xs = reference_forward(model, x_num, x_cat)[1]["xs"]
+    assert np.signbit(xs[:, j]).any() and not np.signbit(xs[:, j]).all()
+    assert_step_matches_reference(model, x_num, x_cat, targets)
+
+
+@pytest.mark.parametrize("include_frac", [False, True], ids=["final", "curve"])
+def test_three_training_steps_reproduce_the_reference_bit_for_bit(include_frac):
+    schema, x_num, x_cat, targets = step_batch(include_frac)
+    model = randomized_model(schema, x_num)
+    ref = randomized_model(schema, x_num)
+    keys = list(model.params)
+    state = adamw_init_state(model.params, keys)
+    ref_state = adamw_init_state(ref.params, keys)
+    hyper = dict(beta1=0.9, beta2=0.999, epsilon=1e-8, weight_decay=0.01)
+    for step in range(3):
+        out, cache = model.forward_batch(x_num, x_cat, want_cache=True)
+        adamw_step(model.params, model.backward_batch(out, targets, cache), state,
+                   lr=1e-3, **hyper)
+        want_out, want_cache = reference_forward(ref, x_num, x_cat)
+        want_grads = reference_backward(ref, want_out, targets, want_cache)
+        reference_adamw_step(ref.params, want_grads, ref_state, lr=1e-3, **hyper)
+        assert_same_bits(out, want_out, f"out at step {step}")
+        for k in keys:
+            assert_same_bits(model.params[k], ref.params[k], f"{k} at step {step}")
+            assert_same_bits(state["m"][k], ref_state["m"][k], f"m {k} at step {step}")
+            assert_same_bits(state["v"][k], ref_state["v"][k], f"v {k} at step {step}")
 
 
 # -- optimizer -----------------------------------------------------------------------
@@ -467,6 +693,28 @@ def test_checkpoint_rejects_missing_or_misshapen_buffers(tmp_path):
     cases += [(path, drop(key)) for key in ("format", "schema", "schema_hash", "arch",
                                             "rng_seed", "baselines", "report",
                                             "param_keys", "buffer_keys")]
+
+    def swap(key, new, name):
+        def edit(manifest, entries):
+            manifest[key] = new(manifest[key])
+        edit.__name__ = name
+        return edit
+
+    def without(d, key):
+        return {k: v for k, v in d.items() if k != key}
+
+    cases += [(path, swap("arch", lambda a: {**a, "extra": 1}, "arch_extra_key")),
+              (path, swap("arch", lambda a: without(a, "d_hid"), "arch_missing_key")),
+              (path, swap("arch", lambda a: {**a, "d_emb": 0}, "arch_zero")),
+              (path, swap("arch", lambda a: {**a, "d_emb": 4.0}, "arch_float")),
+              (path, swap("arch", lambda a: {**a, "d_emb": True}, "arch_bool")),
+              (path, swap("arch", lambda a: list(a.values()), "arch_list")),
+              (path, swap("rng_seed", lambda _: "x", "seed_string")),
+              (path, swap("rng_seed", lambda _: True, "seed_bool")),
+              (path, swap("rng_seed", lambda _: 0.0, "seed_float")),
+              (path, swap("report", lambda r: without(r, "n_params"), "report_missing_key")),
+              (path, swap("report", lambda r: {**r, "wall_s": 1.0}, "report_extra_key")),
+              (path, swap("report", lambda r: list(r), "report_list"))]
     for i, (src, edit) in enumerate(cases):
         bad = str(tmp_path / f"{i}_{edit.__name__}.ckpt")
         rewrite_checkpoint(src, bad, edit)
@@ -540,31 +788,48 @@ def test_final_model_refuses_curve_queries():
         predictor.predict_curve(make_config(), [0.5, 1.0])
 
 
-def test_checkpoints_do_not_depend_on_the_blas_thread_count(small_records, tmp_path):
-    # the default architecture's trunk matmuls are large enough for OpenBLAS
-    # to split them over threads
-    splits = split_dataset(small_records, seed=0)
-    data = tmp_path / "splits"
-    data.mkdir()
+def train_under_two_blas_thread_counts(records, folder, *args):
+    """Bytes of the checkpoints a 1+1-epoch ``train`` writes with one and with
+    two OpenBLAS threads, the two trainings run side by side."""
+    splits = split_dataset(records, seed=0)
+    data = folder / "splits"
+    data.mkdir(parents=True)
     for name in ("train", "id_val", "ood_val"):
         (data / f"{name}.jsonl").write_text("".join(
             json.dumps(record_to_obj(r)) + "\n" for r in getattr(splits, name)))
-    save_fits(fixed_baseline().fits, tmp_path / "fits")
-    plan = tmp_path / "plan.json"
+    save_fits(fixed_baseline().fits, folder / "fits")
+    plan = folder / "plan.json"
     plan.write_text(json.dumps({"stage1": {"epochs": 1}, "stage2": {"epochs": 1}}))
 
     src = os.path.dirname(os.path.dirname(losscast.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    outs = [tmp_path / f"threads{n}.zip" for n in (1, 2)]
+    outs = [folder / f"threads{n}.zip" for n in (1, 2)]
     children = [
         subprocess.Popen(
             [sys.executable, "-m", "losscast.cli", "train", "--input", str(data),
-             "--fits", str(tmp_path / "fits"), "--output", str(out), "--plan", str(plan)],
+             "--fits", str(folder / "fits"), "--output", str(out), "--plan", str(plan),
+             *args],
             env=dict(env, OPENBLAS_NUM_THREADS=str(n)),
             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
         for n, out in zip((1, 2), outs)]
     for child in children:
         _, err = child.communicate(timeout=120)
         assert child.returncode == 0, err.decode()
-    assert outs[0].read_bytes() == outs[1].read_bytes()
+    return [out.read_bytes() for out in outs]
+
+
+def test_checkpoints_do_not_depend_on_the_blas_thread_count(small_records, oracle_params,
+                                                            small_design, tmp_path):
+    # the default architecture's trunk matmuls are large enough for OpenBLAS
+    # to split them over threads
+    one, two = train_under_two_blas_thread_counts(small_records, tmp_path / "final")
+    assert one == two
+    # the curve model trains at batch 960 on rows whose configs repeat along
+    # each run's curve
+    curves = generate_synthetic_runs(
+        oracle_params, dataclasses.replace(small_design, with_curves=True, curve_points=200),
+        seed=5)
+    one, two = train_under_two_blas_thread_counts(curves, tmp_path / "curve",
+                                                  "--target", "curve")
+    assert one == two
