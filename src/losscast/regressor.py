@@ -391,6 +391,7 @@ class RegressorModel:
             dpre1 = np.take(gelu_grad(cache["pre1"], cache["cdf1"]), cache["index"],
                             axis=0, out=work("dpre1", (b, nf, dh)), mode="clip")
             dpre1 *= dh1
+            # dh1 is spent, so its buffer takes the product
             grads["num_w1"] = np.multiply(cache["xs"][:, :, None], dpre1,
                                           out=work("dh1", (b, nf, dh))).sum(axis=0)
             grads["num_b1"] = dpre1.sum(axis=0)
