@@ -5,9 +5,12 @@ filter run logs, split into train/validation sets, fit scaling-law baselines,
 train residual regressors, predict losses and curves, sweep hyperparameter
 grids, and score predictions.
 
-A ``--config`` JSON file can pre-set any long flag (flags still win); every
-command that writes artifacts also writes the resolved settings next to them
-so reruns are reproducible. Same inputs, same seeds: byte-identical outputs.
+Each command's settings are declared once, in ``COMMANDS``; that table builds
+the parser and drives ``_resolve``. A ``--config`` JSON file can pre-set any
+long flag (flags still win) with a value of that flag's JSON type, and it may
+supply required settings; every command that writes artifacts also writes the
+resolved settings next to them so reruns are reproducible. Same inputs, same
+seeds: byte-identical outputs.
 
 Exit codes: 0 success, 1 pipeline error (tagged with the failing module),
 2 usage error.
@@ -55,27 +58,72 @@ from .synth import OracleParams, SynthDesign, write_synthetic_dataset
 
 # -- config-file / flag resolution ---------------------------------------------
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """Merge defaults < config file < explicit flags.
+REQUIRED = object()  # a table default: the command refuses to run without it
+FIX = "fix"          # a table kind: the repeatable --fix FIELD=VALUE
 
-    Flags are declared with default=None so an explicit value always wins.
+KIND_TEXT = {bool: "true or false", int: "an integer", float: "a number",
+             str: "a string", FIX: "a list of FIELD=VALUE strings or an object"}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _has_kind(value, kind) -> bool:
+    """Whether a config-file value has the JSON type its setting's flag parses to."""
+    if kind == FIX:
+        return isinstance(value, dict) or (isinstance(value, list) and all(
+            isinstance(pair, str) and "=" in pair for pair in value))
+    if isinstance(kind, tuple):
+        return value in kind
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _resolve(args: argparse.Namespace) -> dict:
+    """Merge the command's table defaults < config file < explicit flags.
+
+    Flags are declared with default=None so an explicit value always wins; a
+    config value of null keeps the default.
     """
-    resolved = dict(defaults)
-    path = getattr(args, "config", None)
-    if path:
-        with open(path, "r", encoding="utf-8") as fh:
+    settings = COMMANDS[args.command][2]
+    kinds = {name: kind for name, _, kind, _ in settings}
+    resolved = {name: None if default is REQUIRED else default
+                for name, default, _, _ in settings}
+    if args.config:
+        with open(args.config, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         if not isinstance(data, dict):
-            raise ValueError(f"config file {path} must hold a JSON object")
+            raise ValueError(f"config file {args.config} must hold a JSON object")
         for key, value in data.items():
-            if key not in resolved:
-                raise ValueError(f"unknown config key '{key}' in {path}")
+            if key not in kinds:
+                raise ValueError(f"unknown config key '{key}' in {args.config}")
+            if value is None:
+                continue
+            kind = kinds[key]
+            if not _has_kind(value, kind):
+                text = ("one of " + ", ".join(map(repr, kind))
+                        if isinstance(kind, tuple) else KIND_TEXT[kind])
+                raise ValueError(f"config key '{key}' in {args.config} must be "
+                                 f"{text}, got {value!r}")
             resolved[key] = value
     for key in resolved:
-        value = getattr(args, key, None)
+        value = getattr(args, key)
         if value is not None:
             resolved[key] = value
+    required = [name for name, default, _, _ in settings if default is REQUIRED]
+    if not all(resolved[name] for name in required):
+        flags = [_flag(name) for name in required]
+        listed = ", ".join(flags[:-1]) + " and " if len(flags) > 1 else ""
+        raise ValueError(f"{args.command} requires {listed}{flags[-1]}")
     return resolved
+
+
+def _write_json(path: str, obj) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _write_resolved(output: str, command: str, resolved: dict) -> None:
@@ -84,10 +132,7 @@ def _write_resolved(output: str, command: str, resolved: dict) -> None:
         path = os.path.join(output, "resolved_config.json")
     else:
         path = output + ".resolved.json"
-    body = {"command": command, "resolved": resolved}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(body, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, {"command": command, "resolved": resolved})
 
 
 def _parse_fix(pairs) -> dict:
@@ -139,27 +184,21 @@ def load_predictor(path: str):
     raise ValueError(f"unrecognized model file: {path}")
 
 
-# -- subcommands ----------------------------------------------------------------
+# -- subcommands: each takes the resolved settings --------------------------------
 
-def cmd_schema(args) -> int:
-    schema = Schema.default(include_frac=bool(args.frac))
-    text = json.dumps(schema.dump(), indent=2, sort_keys=True) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def cmd_schema(r) -> int:
+    schema = Schema.default(include_frac=r["frac"])
+    if r["output"]:
+        _write_json(r["output"], schema.dump())
+        _write_resolved(r["output"], "schema", r)
         print(f"schema v{schema.version} ({len(schema.specs)} fields, "
-              f"hash {schema.schema_hash()}) -> {args.output}")
+              f"hash {schema.schema_hash()}) -> {r['output']}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(json.dumps(schema.dump(), indent=2, sort_keys=True) + "\n")
     return 0
 
 
-def cmd_synth(args) -> int:
-    defaults = {"seed": 7, "curves": False, "sigma": None, "oracle": None,
-                "output": None}
-    r = _resolve(args, defaults)
-    if not r["output"]:
-        raise ValueError("synth requires --output")
+def cmd_synth(r) -> int:
     if r["oracle"]:
         with open(r["oracle"], "r", encoding="utf-8") as fh:
             params = OracleParams.from_dict(json.load(fh))
@@ -168,17 +207,13 @@ def cmd_synth(args) -> int:
     if r["sigma"] is not None:
         params = dataclasses.replace(params, noise_sigma=float(r["sigma"]))
     design = SynthDesign.curve_default() if r["curves"] else SynthDesign()
-    out, sidecar = write_synthetic_dataset(params, design, int(r["seed"]), r["output"])
+    out, sidecar = write_synthetic_dataset(params, design, r["seed"], r["output"])
     _write_resolved(out, "synth", {**r, "oracle": sidecar})
     print(f"wrote {design.n_runs()} synthetic runs -> {out} (oracle: {sidecar})")
     return 0
 
 
-def cmd_ingest(args) -> int:
-    defaults = {"input": None, "output": None}
-    r = _resolve(args, defaults)
-    if not (r["input"] and r["output"]):
-        raise ValueError("ingest requires --input and --output")
+def cmd_ingest(r) -> int:
     os.makedirs(r["output"], exist_ok=True)
     parsed = parse_runs(r["input"])
     kept, rejected = filter_runs(parsed.records)
@@ -198,20 +233,15 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def cmd_split(args) -> int:
+def cmd_split(r) -> int:
     """Split ingest's kept.jsonl, copying each line as ingest wrote it to its
     split file; its curves are neither re-smoothed nor re-encoded."""
-    defaults = {"input": None, "output": None, "seed": 0,
-                "ood_threshold": OOD_THRESHOLD_N, "split_ratio": TRAIN_RATIO}
-    r = _resolve(args, defaults)
-    if not (r["input"] and r["output"]):
-        raise ValueError("split requires --input and --output")
     kept = read_kept_lines(r["input"])
     records = [rec for rec, _ in kept]
     # keyed by identity: run_ids need not be unique
     line_of = {id(rec): line for rec, line in kept}
     splits = split_dataset(records, ood_threshold_n=float(r["ood_threshold"]),
-                           ratio=float(r["split_ratio"]), seed=int(r["seed"]))
+                           ratio=float(r["split_ratio"]), seed=r["seed"])
     os.makedirs(r["output"], exist_ok=True)
     for name, part in (("train", splits.train), ("id_val", splits.id_val),
                        ("ood_val", splits.ood_val)):
@@ -226,14 +256,9 @@ def cmd_split(args) -> int:
     return 0
 
 
-def cmd_fit(args) -> int:
-    defaults = {"input": None, "output": None, "per_optimizer": False,
-                "power_law": False}
-    r = _resolve(args, defaults)
-    if not (r["input"] and r["output"]):
-        raise ValueError("fit requires --input and --output")
+def cmd_fit(r) -> int:
     records = parse_runs(r["input"]).records
-    fits = fit_baselines(records, per_optimizer=bool(r["per_optimizer"]))
+    fits = fit_baselines(records, per_optimizer=r["per_optimizer"])
     paths = save_fits(fits, r["output"])
     if r["power_law"]:
         frontier = select_best_per_group(records)
@@ -270,16 +295,7 @@ def _load_split_dir(path: str) -> DatasetSplits:
     return DatasetSplits(**parts)
 
 
-def cmd_train(args) -> int:
-    defaults = {"input": None, "fits": None, "output": None, "target": "final",
-                "method": "neural", "plan": None, "seed": None}
-    r = _resolve(args, defaults)
-    if not (r["input"] and r["fits"] and r["output"]):
-        raise ValueError("train requires --input, --fits and --output")
-    if r["target"] not in ("final", "curve"):
-        raise ValueError(f"unknown target '{r['target']}'")
-    if r["method"] not in ("neural", "gbt"):
-        raise ValueError(f"unknown method '{r['method']}'")
+def cmd_train(r) -> int:
     if r["method"] == "gbt" and r["target"] == "curve":
         raise ValueError("curve prediction needs the neural method")
 
@@ -299,14 +315,12 @@ def cmd_train(args) -> int:
                    f"{len(splits.train)} train runs")
     else:
         if r["seed"] is not None:
-            overrides["seed"] = int(r["seed"])
+            overrides["seed"] = r["seed"]
         plan = _plan_from_overrides(r["target"], overrides)
         predictor = train(splits, plan, baseline, target_kind=r["target"])
         predictor.save(r["output"])
         report = predictor.report
-        with open(r["output"] + ".report.json", "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(r["output"] + ".report.json", report.to_dict())
         last_mse = report.stage_final_mse.get("stage2", float("nan"))
         summary = (f"neural {r['target']}: {report.n_params} params, "
                    f"final train mse {last_mse:.3e}"
@@ -316,11 +330,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_predict(args) -> int:
-    defaults = {"model": None, "input": None, "output": None}
-    r = _resolve(args, defaults)
-    if not (r["model"] and r["input"] and r["output"]):
-        raise ValueError("predict requires --model, --input and --output")
+def cmd_predict(r) -> int:
     predictor = load_predictor(r["model"])
     run_ids, configs = [], []
     for run_id, cfg in _read_config_lines(r["input"]):
@@ -335,15 +345,11 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def cmd_curve(args) -> int:
-    defaults = {"model": None, "input": None, "output": None, "points": 30}
-    r = _resolve(args, defaults)
-    if not (r["model"] and r["input"] and r["output"]):
-        raise ValueError("curve requires --model, --input and --output")
+def cmd_curve(r) -> int:
     predictor = load_predictor(r["model"])
     if not hasattr(predictor, "predict_curve"):
         raise ValueError("model does not support curve prediction")
-    k = int(r["points"])
+    k = r["points"]
     fracs = np.arange(1, k + 1) / k
     rows = []
     for run_id, cfg in _read_config_lines(r["input"]):
@@ -356,13 +362,7 @@ def cmd_curve(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    defaults = {"model": None, "base": None, "output": None, "n": None, "d": None,
-                "fix": None, "lr_min": 1e-4, "lr_max": 3e-2, "lr_points": 13,
-                "bs_min": 32.0, "bs_max": 2048.0, "bs_points": 9}
-    r = _resolve(args, defaults)
-    if not (r["model"] and r["base"] and r["output"]):
-        raise ValueError("sweep requires --model, --base and --output")
+def cmd_sweep(r) -> int:
     predictor = load_predictor(r["model"])
     with open(r["base"], "r", encoding="utf-8") as fh:
         base_cfg = config_from_obj(json.load(fh))
@@ -372,7 +372,7 @@ def cmd_sweep(args) -> int:
         base_cfg,
         lr_range=(float(r["lr_min"]), float(r["lr_max"])),
         bs_range=(float(r["bs_min"]), float(r["bs_max"])),
-        n_lr=int(r["lr_points"]), n_bs=int(r["bs_points"]),
+        n_lr=r["lr_points"], n_bs=r["bs_points"],
     )
     fixed = _parse_fix(r["fix"]) if isinstance(r["fix"], list) else (r["fix"] or {})
     rec = recommend(predictor, n, d, grid=grid, constraints=fixed)
@@ -384,10 +384,7 @@ def cmd_sweep(args) -> int:
         w.writerow(["peak_lr", "batch_size", "predicted_loss"])
         for cfg, loss in rec.predicted_surface:
             w.writerow([repr(cfg.peak_lr), repr(cfg.batch_size), repr(loss)])
-    with open(os.path.join(r["output"], "recommendation.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(rec.summary(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(r["output"], "recommendation.json"), rec.summary())
     _write_resolved(r["output"], "sweep",
                     {**r, "fix": fixed, "n": n, "d": d})
     print(f"swept {len(rec.predicted_surface)} points at N={n:g} D={d:g}: "
@@ -419,11 +416,7 @@ def _read_losses(path: str) -> tuple[list[str | None], list[float]]:
     return ids, losses
 
 
-def cmd_eval(args) -> int:
-    defaults = {"model": None, "input": None, "pred": None, "truth": None,
-                "contour_from": None, "output": None, "resolution": 50}
-    r = _resolve(args, defaults)
-
+def cmd_eval(r) -> int:
     if r["contour_from"]:
         if not r["output"]:
             raise ValueError("contour export requires --output")
@@ -433,12 +426,13 @@ def cmd_eval(args) -> int:
                 if not row or row[0] == "peak_lr":
                     continue
                 surface.append((float(row[0]), float(row[1]), float(row[2])))
-        grid = export_contour_data(surface, resolution=int(r["resolution"]))
+        grid = export_contour_data(surface, resolution=r["resolution"])
         with open(r["output"], "w", encoding="utf-8", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["peak_lr", "batch_size", "loss"])
             for lr, bs, z in grid.rows():
                 w.writerow([repr(lr), repr(bs), repr(z)])
+        _write_resolved(r["output"], "eval", r)
         print(f"contoured {len(surface)} samples onto a "
               f"{r['resolution']}x{r['resolution']} grid -> {r['output']}")
         return 0
@@ -463,15 +457,85 @@ def cmd_eval(args) -> int:
                          "or --contour-from")
 
     if r["output"]:
-        with open(r["output"], "w", encoding="utf-8") as fh:
-            json.dump(m.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(r["output"], m.to_dict())
+        _write_resolved(r["output"], "eval", r)
     print(f"MAE={m.mae:.6f} RMSE={m.rmse:.6f} spearman={m.spearman_rho:.6f} "
           f"n={m.n}")
     return 0
 
 
-# -- parser ----------------------------------------------------------------------
+# -- the command table and parser ------------------------------------------------
+
+# command: (function, help, settings); each setting is (name, default, kind, help)
+# and becomes the flag --name with "_" spelled "-". A kind is a type the flag
+# parses with (bool: a store-true switch), a tuple of choices, or FIX.
+COMMANDS = {
+    "schema": (cmd_schema, "dump the canonical feature table", (
+        ("frac", False, bool, "include the training-progress fraction field"),
+        ("output", None, str, None),
+    )),
+    "synth": (cmd_synth, "generate a synthetic benchmark dataset", (
+        ("output", REQUIRED, str, None), ("seed", 7, int, None),
+        ("curves", False, bool, "emit the smaller with-curves design"),
+        ("sigma", None, float, "override observation noise"),
+        ("oracle", None, str, "JSON file of generator parameters"),
+    )),
+    "ingest": (cmd_ingest, "parse, smooth and filter raw run logs", (
+        ("input", REQUIRED, str, None),
+        ("output", REQUIRED, str, "directory for kept/rejected/malformed files"),
+    )),
+    "split": (cmd_split, "group-wise train/val/ood split of ingest's kept.jsonl; "
+              "each line is copied unchanged to its split file", (
+        ("input", REQUIRED, str, "ingest's kept.jsonl; each line is copied "
+         "unchanged to its split file"),
+        ("output", REQUIRED, str, None), ("seed", 0, int, None),
+        ("ood_threshold", OOD_THRESHOLD_N, float, None),
+        ("split_ratio", TRAIN_RATIO, float, None),
+    )),
+    "fit": (cmd_fit, "fit scaling-law baselines on a training split", (
+        ("input", REQUIRED, str, None), ("output", REQUIRED, str, None),
+        ("per_optimizer", False, bool, None),
+        ("power_law", False, bool, "also fit optimal-lr/batch power laws"),
+    )),
+    "train": (cmd_train, "train a residual regressor on a split dir", (
+        ("input", REQUIRED, str, "directory holding train/id_val/ood_val.jsonl"),
+        ("fits", REQUIRED, str, "directory of law-fit JSON files"),
+        ("output", REQUIRED, str, None),
+        ("target", "final", ("final", "curve"), None),
+        ("method", "neural", ("neural", "gbt"), None),
+        ("plan", None, str, "JSON overrides for the training plan (neural) or GBT "
+         "params. A stage override naming warmup_ratio or warmup_steps replaces "
+         "the stage's default warmup; naming both is an error"),
+        ("seed", None, int, None),
+    )),
+    "predict": (cmd_predict, "predict final losses for configs", (
+        ("model", REQUIRED, str, None), ("input", REQUIRED, str, None),
+        ("output", REQUIRED, str, None),
+    )),
+    "curve": (cmd_curve, "predict whole loss curves for configs", (
+        ("model", REQUIRED, str, None), ("input", REQUIRED, str, None),
+        ("output", REQUIRED, str, None), ("points", 30, int, None),
+    )),
+    "sweep": (cmd_sweep, "grid-sweep lr/batch and recommend settings", (
+        ("model", REQUIRED, str, None),
+        ("base", REQUIRED, str, "JSON file with the base run config"),
+        ("output", REQUIRED, str, None),
+        ("n", None, float, "target model size (millions)"),
+        ("d", None, float, "target data size (billions)"),
+        ("fix", None, FIX, "pin a field (repeatable)"),
+        ("lr_min", 1e-4, float, None), ("lr_max", 3e-2, float, None),
+        ("lr_points", 13, int, None),
+        ("bs_min", 32.0, float, None), ("bs_max", 2048.0, float, None),
+        ("bs_points", 9, int, None),
+    )),
+    "eval": (cmd_eval, "score predictions or export contour grids", (
+        ("model", None, str, None), ("input", None, str, None),
+        ("pred", None, str, None), ("truth", None, str, None),
+        ("contour_from", None, str, "surface.csv to interpolate onto a regular grid"),
+        ("resolution", 50, int, None), ("output", None, str, None),
+    )),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -479,103 +543,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Learn and query configuration-to-loss scaling models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text):
-        p = sub.add_parser(name, help=help_text)
+    for command, (_, command_help, settings) in COMMANDS.items():
+        p = sub.add_parser(command, help=command_help)
         p.add_argument("--config", help="JSON file pre-setting any flag")
-        p.set_defaults(func=func)
-        return p
-
-    p = add("schema", cmd_schema, "dump the canonical feature table")
-    p.add_argument("--frac", action="store_true", default=None,
-                   help="include the training-progress fraction field")
-    p.add_argument("--output")
-
-    p = add("synth", cmd_synth, "generate a synthetic benchmark dataset")
-    p.add_argument("--output")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--curves", action="store_true", default=None,
-                   help="emit the smaller with-curves design")
-    p.add_argument("--sigma", type=float, help="override observation noise")
-    p.add_argument("--oracle", help="JSON file of generator parameters")
-
-    p = add("ingest", cmd_ingest, "parse, smooth and filter raw run logs")
-    p.add_argument("--input")
-    p.add_argument("--output", help="directory for kept/rejected/malformed files")
-
-    p = add("split", cmd_split,
-            "group-wise train/val/ood split of ingest's kept.jsonl; each "
-            "line is copied unchanged to its split file")
-    p.add_argument("--input", help="ingest's kept.jsonl; each line is copied "
-                   "unchanged to its split file")
-    p.add_argument("--output")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--ood-threshold", dest="ood_threshold", type=float)
-    p.add_argument("--split-ratio", dest="split_ratio", type=float)
-
-    p = add("fit", cmd_fit, "fit scaling-law baselines on a training split")
-    p.add_argument("--input")
-    p.add_argument("--output")
-    p.add_argument("--per-optimizer", dest="per_optimizer",
-                   action="store_true", default=None)
-    p.add_argument("--power-law", dest="power_law", action="store_true",
-                   default=None, help="also fit optimal-lr/batch power laws")
-
-    p = add("train", cmd_train, "train a residual regressor on a split dir")
-    p.add_argument("--input", help="directory holding train/id_val/ood_val.jsonl")
-    p.add_argument("--fits", help="directory of law-fit JSON files")
-    p.add_argument("--output")
-    p.add_argument("--target", choices=["final", "curve"])
-    p.add_argument("--method", choices=["neural", "gbt"])
-    p.add_argument("--plan", help=(
-        "JSON overrides for the training plan (neural) or GBT params. A stage "
-        "override naming warmup_ratio or warmup_steps replaces the stage's "
-        "default warmup; naming both is an error"))
-    p.add_argument("--seed", type=int)
-
-    p = add("predict", cmd_predict, "predict final losses for configs")
-    p.add_argument("--model")
-    p.add_argument("--input")
-    p.add_argument("--output")
-
-    p = add("curve", cmd_curve, "predict whole loss curves for configs")
-    p.add_argument("--model")
-    p.add_argument("--input")
-    p.add_argument("--output")
-    p.add_argument("--points", type=int)
-
-    p = add("sweep", cmd_sweep, "grid-sweep lr/batch and recommend settings")
-    p.add_argument("--model")
-    p.add_argument("--base", help="JSON file with the base run config")
-    p.add_argument("--output")
-    p.add_argument("--n", type=float, help="target model size (millions)")
-    p.add_argument("--d", type=float, help="target data size (billions)")
-    p.add_argument("--fix", action="append", metavar="FIELD=VALUE",
-                   help="pin a field (repeatable)")
-    p.add_argument("--lr-min", dest="lr_min", type=float)
-    p.add_argument("--lr-max", dest="lr_max", type=float)
-    p.add_argument("--lr-points", dest="lr_points", type=int)
-    p.add_argument("--bs-min", dest="bs_min", type=float)
-    p.add_argument("--bs-max", dest="bs_max", type=float)
-    p.add_argument("--bs-points", dest="bs_points", type=int)
-
-    p = add("eval", cmd_eval, "score predictions or export contour grids")
-    p.add_argument("--model")
-    p.add_argument("--input")
-    p.add_argument("--pred")
-    p.add_argument("--truth")
-    p.add_argument("--contour-from", dest="contour_from",
-                   help="surface.csv to interpolate onto a regular grid")
-    p.add_argument("--resolution", type=int)
-    p.add_argument("--output")
-
+        for name, _, kind, help_text in settings:
+            if kind is bool:
+                how = {"action": "store_true"}
+            elif kind == FIX:
+                how = {"action": "append", "metavar": "FIELD=VALUE"}
+            elif isinstance(kind, tuple):
+                how = {"choices": kind}
+            else:
+                how = {"type": kind}
+            p.add_argument(_flag(name), default=None, help=help_text, **how)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return COMMANDS[args.command][0](_resolve(args))
     except LosscastError as exc:
         print(f"error [{exc.module}]: {exc}", file=sys.stderr)
         return 1

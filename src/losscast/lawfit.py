@@ -75,7 +75,9 @@ class ChinchillaFit:
     @classmethod
     def from_dict(cls, d: dict) -> "ChinchillaFit":
         """A saved fit; raises SchemaError unless it is a scoped Chinchilla fit
-        whose terms are finite numbers that can be evaluated (E > 0, A, B >= 0)."""
+        whose terms are finite numbers that can be evaluated (E > 0, A, B >= 0),
+        whose objective, if given, is a number (NaN when unfitted) and whose
+        n_points, if given, is a non-negative integer."""
         if d.get("form") != "chinchilla":
             raise SchemaError(f"baseline fit has form {d.get('form')!r}, not 'chinchilla'")
         if not all(isinstance(d.get(k), (int, float)) and not isinstance(d[k], bool)
@@ -87,11 +89,16 @@ class ChinchillaFit:
             raise SchemaError("baseline fit needs a scope with a source name")
         if d["E"] <= 0 or d["A"] < 0 or d["B"] < 0:
             raise SchemaError("baseline fit needs E > 0 and A, B >= 0")
+        objective, n_points = d.get("objective", math.nan), d.get("n_points", 0)
+        if isinstance(objective, bool) or not isinstance(objective, (int, float)):
+            raise SchemaError(f"baseline fit's objective must be a number, got {objective!r}")
+        if isinstance(n_points, bool) or not isinstance(n_points, int) or n_points < 0:
+            raise SchemaError("baseline fit's n_points must be a non-negative integer, "
+                              f"got {n_points!r}")
         return cls(
             e=d["E"], a=d["A"], b=d["B"], alpha=d["alpha"], beta=d["beta"],
             scope=Scope(scope["source"], scope.get("optimizer")),
-            objective=d.get("objective", math.nan),
-            n_points=d.get("n_points", 0),
+            objective=objective, n_points=n_points,
         )
 
 

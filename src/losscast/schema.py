@@ -10,7 +10,8 @@ constant is stored and encoded as its negative base-10 log, so 1e-8 becomes
 the token "8".
 
 The canonical field order and the scale table are versioned and can be dumped
-as a machine-readable table (``losscast schema dump``) for cross-checking.
+as a machine-readable table (``losscast schema [--frac] [--output FILE]``) for
+cross-checking.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """End-to-end command-line pipeline checks, run in process via main()."""
 
+import argparse
 import csv
 import json
 import math
@@ -9,7 +10,7 @@ import zipfile
 import numpy as np
 import pytest
 
-from losscast.cli import _plan_from_overrides, load_predictor, main
+from losscast.cli import _plan_from_overrides, _resolve, build_parser, load_predictor, main
 from losscast.gbt import GBTPredictor
 from losscast.regressor import TrainPlan, _resolve_warmup
 from losscast.ingest import (
@@ -148,6 +149,24 @@ def test_contour_export_from_sweep_surface(pipeline, tmp_path):
         rows = list(csv.reader(fh))
     assert len(rows) - 1 == 12 * 12
     assert rows[0] == ["peak_lr", "batch_size", "loss"]
+
+
+def resolved_record(output):
+    return json.loads(open(str(output) + ".resolved.json", encoding="utf-8").read())
+
+
+def test_eval_writes_a_resolved_record_in_both_modes(pipeline, tmp_path):
+    record = resolved_record(pipeline["metrics"])
+    assert record["command"] == "eval"
+    assert record["resolved"]["pred"] == str(pipeline["preds"])
+    assert record["resolved"]["output"] == str(pipeline["metrics"])
+    out = tmp_path / "contour.csv"
+    assert main(["eval", "--contour-from", str(pipeline["sweep"] / "surface.csv"),
+                 "--resolution", "6", "--output", str(out)]) == 0
+    record = resolved_record(out)
+    assert record["command"] == "eval"
+    assert record["resolved"]["resolution"] == 6
+    assert record["resolved"]["model"] is None
 
 
 def test_eval_of_identical_files_is_exactly_zero(pipeline, capsys):
@@ -296,6 +315,23 @@ def test_schema_writes_to_a_file(tmp_path, capsys):
     assert json.loads(out.read_text())["version"] == "1"
 
 
+def test_schema_output_writes_a_resolved_record(tmp_path):
+    out = tmp_path / "schema.json"
+    assert main(["schema", "--frac", "--output", str(out)]) == 0
+    assert resolved_record(out) == {"command": "schema",
+                                    "resolved": {"frac": True, "output": str(out)}}
+
+
+def test_schema_reads_its_config_file(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"frac": True}))
+    assert main(["schema", "--config", str(cfg)]) == 0
+    fields = json.loads(capsys.readouterr().out)["fields"]
+    assert len(fields) == 30 and fields[-1]["name"] == "frac"
+    assert main(["schema", "--config", str(tmp_path / "nope.json")]) == 1
+    assert "error [io]:" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -349,6 +385,120 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
     assert main(["synth", "--config", str(cfg),
                  "--output", str(tmp_path / "x.jsonl")]) == 1
     assert "unknown config key 'sneed'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, config, argv", [
+    ("synth", {"curves": "false"}, ["--output", "runs.jsonl"]),
+    ("split", {"ood_threshold": "430"}, ["--input", "kept.jsonl", "--output", "out"]),
+    ("synth", {"seed": 7.0}, ["--output", "runs.jsonl"]),
+    ("synth", {"seed": True}, ["--output", "runs.jsonl"]),
+    ("synth", {"sigma": False}, ["--output", "runs.jsonl"]),
+    ("synth", {"output": 3}, []),
+    ("train", {"method": "forest"}, ["--input", "s", "--fits", "f", "--output", "m"]),
+    ("sweep", {"fix": "batch_size=128"}, ["--model", "m", "--base", "b", "--output", "out"]),
+    ("sweep", {"fix": ["batch_size"]}, ["--model", "m", "--base", "b", "--output", "out"]),
+])
+def test_a_config_value_of_the_wrong_type_is_refused(tmp_path, monkeypatch, capsys,
+                                                     command, config, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "kept.jsonl").write_text("")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main([command, "--config", str(cfg), *argv]) == 1
+    key = next(iter(config))
+    assert capsys.readouterr().err.startswith(
+        f"error [cli]: config key '{key}' in {cfg} must be ")
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json", "kept.jsonl"]
+
+
+@pytest.mark.parametrize("command, config, argv, want", [
+    ("synth", {"curves": True, "sigma": 0, "seed": None}, ["--output", "o"],
+     {"curves": True, "sigma": 0, "seed": 7}),
+    ("train", {"method": "gbt", "seed": 3}, ["--input", "s", "--fits", "f", "--output", "m"],
+     {"method": "gbt", "seed": 3}),
+    ("predict", {"model": "m", "input": "i", "output": "o"}, [],
+     {"model": "m", "input": "i", "output": "o"}),
+    ("sweep", {"lr_min": 1, "fix": {"optimizer": "lion"}},
+     ["--model", "m", "--base", "b", "--output", "o"],
+     {"lr_min": 1, "fix": {"optimizer": "lion"}}),
+    ("sweep", {"fix": ["optimizer=lion"]}, ["--model", "m", "--base", "b", "--output", "o"],
+     {"fix": ["optimizer=lion"]}),
+])
+def test_config_values_of_their_flags_type_are_taken(tmp_path, command, config, argv, want):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    r = _resolve(build_parser().parse_args([command, "--config", str(cfg), *argv]))
+    assert {k: r[k] for k in want} == want
+
+
+# The parser and resolved defaults as they stood before the command table was
+# introduced: (option strings, required flags, the refusal when one is missing,
+# the settings resolved from the required flags alone, each given as "R").
+CLI_SURFACE = {
+    "schema": (["--frac", "--output"], [], None, {"frac": False, "output": None}),
+    "synth": (["--output", "--seed", "--curves", "--sigma", "--oracle"], ["--output"],
+              "synth requires --output",
+              {"curves": False, "oracle": None, "output": "R", "seed": 7, "sigma": None}),
+    "ingest": (["--input", "--output"], ["--input", "--output"],
+               "ingest requires --input and --output", {"input": "R", "output": "R"}),
+    "split": (["--input", "--output", "--seed", "--ood-threshold", "--split-ratio"],
+              ["--input", "--output"], "split requires --input and --output",
+              {"input": "R", "ood_threshold": 430.0, "output": "R", "seed": 0,
+               "split_ratio": 0.8}),
+    "fit": (["--input", "--output", "--per-optimizer", "--power-law"],
+            ["--input", "--output"], "fit requires --input and --output",
+            {"input": "R", "output": "R", "per_optimizer": False, "power_law": False}),
+    "train": (["--input", "--fits", "--output", "--target", "--method", "--plan", "--seed"],
+              ["--input", "--fits", "--output"],
+              "train requires --input, --fits and --output",
+              {"fits": "R", "input": "R", "method": "neural", "output": "R", "plan": None,
+               "seed": None, "target": "final"}),
+    "predict": (["--model", "--input", "--output"], ["--model", "--input", "--output"],
+                "predict requires --model, --input and --output",
+                {"input": "R", "model": "R", "output": "R"}),
+    "curve": (["--model", "--input", "--output", "--points"],
+              ["--model", "--input", "--output"],
+              "curve requires --model, --input and --output",
+              {"input": "R", "model": "R", "output": "R", "points": 30}),
+    "sweep": (["--model", "--base", "--output", "--n", "--d", "--fix", "--lr-min", "--lr-max",
+               "--lr-points", "--bs-min", "--bs-max", "--bs-points"],
+              ["--model", "--base", "--output"],
+              "sweep requires --model, --base and --output",
+              {"base": "R", "bs_max": 2048.0, "bs_min": 32.0, "bs_points": 9, "d": None,
+               "fix": None, "lr_max": 0.03, "lr_min": 0.0001, "lr_points": 13, "model": "R",
+               "n": None, "output": "R"}),
+    "eval": (["--model", "--input", "--pred", "--truth", "--contour-from", "--resolution",
+              "--output"], [], None,
+             {"contour_from": None, "input": None, "model": None, "output": None,
+              "pred": None, "resolution": 50, "truth": None}),
+}
+
+
+def test_the_cli_has_exactly_the_frozen_subcommands():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(CLI_SURFACE)
+
+
+@pytest.mark.parametrize("command", list(CLI_SURFACE))
+def test_the_cli_surface_is_frozen(command):
+    options, required, refusal, resolved = CLI_SURFACE[command]
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    parsed = [s for a in sub.choices[command]._actions for s in a.option_strings]
+    assert parsed == ["-h", "--help", "--config", *options]
+
+    def resolve(flags):
+        return _resolve(build_parser().parse_args(
+            [command, *(x for flag in flags for x in (flag, "R"))]))
+
+    got = resolve(required)
+    assert got == resolved
+    assert json.dumps(got, sort_keys=True) == json.dumps(resolved, sort_keys=True)
+    for flag in required:
+        with pytest.raises(ValueError) as exc:
+            resolve([f for f in required if f != flag])
+        assert str(exc.value) == refusal
 
 
 # -- ingest writes what split copies ------------------------------------------------

@@ -404,6 +404,13 @@ BAD_BASELINES = {
     "missing scope": [{k: v for k, v in SAVED_FIT.items() if k != "scope"}],
     "nameless scope": [{**SAVED_FIT, "scope": {"optimizer": None}}],
     "duplicate scope": [SAVED_FIT, {**SAVED_FIT, "E": 3.7}],
+    "string objective": [{**SAVED_FIT, "objective": "x"}],
+    "null objective": [{**SAVED_FIT, "objective": None}],
+    "boolean objective": [{**SAVED_FIT, "objective": False}],
+    "negative n_points": [{**SAVED_FIT, "n_points": -3}],
+    "fractional n_points": [{**SAVED_FIT, "n_points": 2.5}],
+    "boolean n_points": [{**SAVED_FIT, "n_points": True}],
+    "string n_points": [{**SAVED_FIT, "n_points": "12"}],
 }
 
 
