@@ -36,6 +36,7 @@ from .ingest import (
     filter_runs,
     parse_runs,
     read_kept_lines,
+    record_from_obj,
     record_to_obj,
     split_dataset,
     write_split_manifest,
@@ -346,10 +347,12 @@ def cmd_predict(r) -> int:
 
 
 def cmd_curve(r) -> int:
+    k = r["points"]
+    if k < 1:
+        raise ValueError(f"--points must be at least 1, got {k}")
     predictor = load_predictor(r["model"])
     if not hasattr(predictor, "predict_curve"):
         raise ValueError("model does not support curve prediction")
-    k = r["points"]
     fracs = np.arange(1, k + 1) / k
     rows = []
     for run_id, cfg in _read_config_lines(r["input"]):
@@ -408,7 +411,10 @@ def _read_losses(path: str) -> tuple[list[str | None], list[float]]:
                         losses.append(float(obj[key]))
                         break
                 else:
-                    raise ValueError(f"{path}:{lineno}: no loss field")
+                    if obj.get("curve") is None:
+                        raise ValueError(f"{path}:{lineno}: no loss field")
+                    # a curve-only run: the smoothed tail eval --model scores
+                    losses.append(record_from_obj(obj).final_loss)
                 ids.append(obj.get("run_id"))
             else:
                 losses.append(float(obj))

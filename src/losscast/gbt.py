@@ -116,6 +116,10 @@ def _forest_predict(x, feature, threshold, left, right, value, offsets) -> np.nd
     return out
 
 
+_NODE_ROW = np.dtype([("feature", np.int64), ("threshold", np.float64),
+                      ("left", np.int64), ("right", np.int64), ("value", np.float64)])
+
+
 @dataclass
 class BoostedForest:
     """Flattened forest: parallel node arrays, one root offset per tree.
@@ -226,42 +230,46 @@ class BoostedForest:
                 raise SchemaError(
                     f"GBT dump node {i} has children {left}, {right} outside ({i}, {n_nodes})")
 
-        table = [nodes[i] for i in range(n_nodes)]
-        return cls(
-            base_score=base_score, learning_rate=learning_rate, n_features=n_features,
-            feature=np.array([r[0] for r in table], dtype=np.int64),
-            threshold=np.array([r[1] for r in table], dtype=np.float64),
-            left=np.array([r[2] for r in table], dtype=np.int64),
-            right=np.array([r[3] for r in table], dtype=np.int64),
-            value=np.array([r[4] for r in table], dtype=np.float64),
-            offsets=np.array([roots[t] for t in range(n_trees)], dtype=np.int64),
-        )
+        return cls.from_nodes(base_score, learning_rate, n_features,
+                              [nodes[i] for i in range(n_nodes)],
+                              [roots[t] for t in range(n_trees)])
+
+    @classmethod
+    def from_nodes(cls, base_score: float, learning_rate: float, n_features: int,
+                   nodes: list[tuple[int, float, int, int, float]],
+                   roots: list[int]) -> "BoostedForest":
+        """Forest from preorder ``(feature, threshold, left, right, value)`` node
+        rows with forest-wide child indices, and the root index of each tree."""
+        table = np.array(nodes, dtype=_NODE_ROW)
+        return cls(base_score=base_score, learning_rate=learning_rate,
+                   n_features=n_features,
+                   **{name: np.ascontiguousarray(table[name]) for name in _NODE_ROW.names},
+                   offsets=np.array(roots, dtype=np.int64))
 
 
-class _TreeBuilder:
-    """Grows one tree over the compacted design and accumulates its nodes in
-    preorder, with features stored in full-design coordinates."""
+class _ForestBuilder:
+    """Grows every tree of one fit into a single preorder node table.
 
-    def __init__(self, xt, cols, y, min_leaf, leaf_of_row):
+    A tree's root is the table length when it starts, so child indices are
+    forest-wide from the outset. Features are stored in full-design
+    coordinates. After each tree, ``leaf_of_row`` holds every row's leaf value.
+    """
+
+    def __init__(self, xt, cols, min_leaf):
         self.xt = xt
         self.cols = cols
-        self.y = y
         self.min_leaf = min_leaf
-        self.leaf_of_row = leaf_of_row
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.value: list[float] = []
+        self.leaf_of_row = np.zeros(xt.shape[1], dtype=np.float64)
+        self.nodes: list[tuple[int, float, int, int, float] | None] = []
+        self.roots: list[int] = []
 
-    def build(self, rows, order, depth_left) -> int:
-        idx = len(self.feature)
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(0.0)
+    def add_tree(self, y, order, max_depth) -> None:
+        self.y = y
+        self.roots.append(self._build(np.arange(y.size), order, max_depth))
 
+    def _build(self, rows, order, depth_left) -> int:
+        idx = len(self.nodes)
+        self.nodes.append(None)  # the parent's row precedes its subtrees
         if depth_left == 0 or rows.size < 2 * self.min_leaf:
             return self._close_leaf(idx, rows)
         feat, thr, gain, _ = _best_split(self.xt, self.y, rows, order, self.min_leaf)
@@ -271,18 +279,17 @@ class _TreeBuilder:
         go_left = self.xt[feat] <= thr
         row_left, order_left = go_left[rows], go_left[order]
         n_feat = order.shape[0]
-        self.feature[idx] = int(self.cols[feat])
-        self.threshold[idx] = float(thr)
-        self.left[idx] = self.build(rows[row_left], order[order_left].reshape(n_feat, -1),
-                                    depth_left - 1)
-        self.right[idx] = self.build(rows[~row_left], order[~order_left].reshape(n_feat, -1),
-                                     depth_left - 1)
+        left = self._build(rows[row_left], order[order_left].reshape(n_feat, -1),
+                           depth_left - 1)
+        right = self._build(rows[~row_left], order[~order_left].reshape(n_feat, -1),
+                            depth_left - 1)
+        self.nodes[idx] = (int(self.cols[feat]), float(thr), left, right, 0.0)
         return idx
 
     def _close_leaf(self, idx, rows) -> int:
         v = float(np.mean(self.y[rows]))
-        self.value[idx] = v
         self.leaf_of_row[rows] = v
+        self.nodes[idx] = (-1, 0.0, -1, -1, v)
         return idx
 
 
@@ -305,37 +312,13 @@ def fit_gbt_arrays(x: np.ndarray, y: np.ndarray, params: GBTParams = GBTParams()
     xt = np.ascontiguousarray(x[:, cols].T)
     order = np.argsort(xt, axis=1, kind="stable")
     base = float(np.mean(y))
-    forest = BoostedForest(
-        base_score=base, learning_rate=params.learning_rate, n_features=x.shape[1]
-    )
     residual = y - base
-    feats: list[int] = []
-    thrs: list[float] = []
-    lefts: list[int] = []
-    rights: list[int] = []
-    values: list[float] = []
-    offsets: list[int] = []
-    all_rows = np.arange(n)
-    leaf_of_row = np.zeros(n, dtype=np.float64)
+    builder = _ForestBuilder(xt, cols, params.min_leaf)
     for _ in range(params.rounds):
-        tb = _TreeBuilder(xt, cols, residual, params.min_leaf, leaf_of_row)
-        tb.build(all_rows, order, params.max_depth)
-        off = len(feats)
-        offsets.append(off)
-        feats.extend(tb.feature)
-        thrs.extend(tb.threshold)
-        lefts.extend(v if v < 0 else v + off for v in tb.left)
-        rights.extend(v if v < 0 else v + off for v in tb.right)
-        values.extend(tb.value)
-        residual = residual - params.learning_rate * leaf_of_row
-
-    forest.feature = np.asarray(feats, dtype=np.int64)
-    forest.threshold = np.asarray(thrs, dtype=np.float64)
-    forest.left = np.asarray(lefts, dtype=np.int64)
-    forest.right = np.asarray(rights, dtype=np.int64)
-    forest.value = np.asarray(values, dtype=np.float64)
-    forest.offsets = np.asarray(offsets, dtype=np.int64)
-    return forest
+        builder.add_tree(residual, order, params.max_depth)
+        residual = residual - params.learning_rate * builder.leaf_of_row
+    return BoostedForest.from_nodes(base, params.learning_rate, x.shape[1],
+                                    builder.nodes, builder.roots)
 
 
 class GBTPredictor:

@@ -422,8 +422,11 @@ def split_dataset(
     Runs with N above the threshold all go to ood_val. The rest are grouped
     by (optimizer, N, D) and whole groups are dealt to train or id_val by a
     seeded permutation targeting ``ratio`` over groups, with both sides kept
-    nonempty.
+    nonempty. A ratio outside the open interval (0, 1), NaN included, raises
+    SplitError.
     """
+    if not 0.0 < ratio < 1.0:
+        raise SplitError(f"split ratio must lie in (0, 1), got {ratio!r}")
     runs = list(runs)
     ood = [r for r in runs if r.config.model_size_n > ood_threshold_n]
     rest = [r for r in runs if r.config.model_size_n <= ood_threshold_n]

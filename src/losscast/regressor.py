@@ -671,7 +671,7 @@ class TrainedPredictor:
             raise ValueError("model was not trained for curve prediction")
         fracs = [float(f) for f in fracs]
         res = self._residuals([config] * len(fracs), fracs)
-        base = self.baseline.predict_final_loss(config)
+        base = self.baseline.predict_final_loss_batch([config])[0]
         return [
             (int(round(f * config.total_steps)), float(base + r))
             for f, r in zip(fracs, res)

@@ -12,6 +12,7 @@ import pytest
 
 from losscast.cli import _plan_from_overrides, _resolve, build_parser, load_predictor, main
 from losscast.gbt import GBTPredictor
+from losscast.lawfit import ChinchillaFit, Scope, save_fits
 from losscast.regressor import TrainPlan, _resolve_warmup
 from losscast.ingest import (
     config_from_obj,
@@ -605,3 +606,46 @@ def test_split_refuses_a_line_without_a_run_id(curve_kept, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error [ingest]" in err and "line 5" in err and "run_id" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("ratio", ["-1", "0", "1", "2", "nan"])
+def test_split_refuses_a_ratio_outside_the_open_unit_interval(curve_kept, tmp_path, capsys,
+                                                              ratio):
+    out = tmp_path / "out"
+    assert main(["split", "--input", str(curve_kept), "--output", str(out),
+                 "--split-ratio", ratio]) == 1
+    err = capsys.readouterr().err
+    assert "error [ingest]" in err and "split ratio" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_curve_refuses_fewer_than_one_point(curve_kept, tmp_path, capsys, points):
+    # refused before the model is read, so a missing model file is not reached
+    out = tmp_path / "curves.jsonl"
+    assert main(["curve", "--model", str(tmp_path / "absent.zip"), "--input", str(curve_kept),
+                 "--output", str(out), "--points", points]) == 1
+    err = capsys.readouterr().err
+    assert "error [cli]" in err and "--points" in err
+    assert not out.exists() and list(tmp_path.iterdir()) == []
+
+
+def test_both_eval_modes_score_curve_runs_alike(curve_kept, tmp_path):
+    split_files(curve_kept, tmp_path)
+    fits, preds = tmp_path / "fits", tmp_path / "preds.jsonl"
+    # 20 runs are too few for a Chinchilla fit; a fixed law stands in as the model
+    save_fits([ChinchillaFit(e=1.5, a=2.0, b=1.0, alpha=0.3, beta=0.3, scope=Scope("lab"),
+                             objective=0.0, n_points=0)], fits)
+    for part in SPLITS[1:]:
+        runs = str(tmp_path / f"{part}.jsonl")
+        assert all("final_loss" not in o for o in read_jsonl(runs))
+        assert main(["predict", "--model", str(fits), "--input", runs,
+                     "--output", str(preds)]) == 0
+        by_model, by_pred = tmp_path / f"model-{part}.json", tmp_path / f"pred-{part}.json"
+        assert main(["eval", "--model", str(fits), "--input", runs,
+                     "--output", str(by_model)]) == 0
+        assert main(["eval", "--pred", str(preds), "--truth", runs,
+                     "--output", str(by_pred)]) == 0
+        want = json.loads(by_model.read_text())
+        assert want["n"] == len(read_jsonl(runs))
+        assert json.loads(by_pred.read_text())["mae"] == want["mae"]

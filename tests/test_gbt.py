@@ -1,5 +1,6 @@
-"""Boosted trees: whole forests against a per-node reference builder,
-prediction against an independent traversal, and the textual dump format."""
+"""Boosted trees: whole forests against a per-node reference builder and a
+per-tree reference builder, prediction against an independent traversal, and
+the textual dump format."""
 
 import json
 import re
@@ -7,15 +8,18 @@ import re
 import numpy as np
 import pytest
 
+from losscast.features import one_hot_matrix
 from losscast.gbt import (
     BoostedForest,
     GBTParams,
     GBTPredictor,
+    _best_split,
     fit_gbt,
     fit_gbt_arrays,
 )
 from losscast.ingest import DatasetSplits, record_from_obj
 from losscast.lawfit import ChinchillaFit, ChinchillaPredictor, Scope
+from losscast.regressor import build_training_rows, training_schema
 from losscast.schema import Schema, SchemaError
 from conftest import make_config
 
@@ -350,3 +354,104 @@ def test_gbt_load_checks_the_field_table(tmp_path):
         bad.write_text("#losscast-gbt-1 " + text + "\n" + body)
         with pytest.raises(SchemaError):
             GBTPredictor.load(str(bad))
+
+
+class ReferenceTreeBuilder:
+    """Grows one tree over the compacted design into five lists of its own,
+    with child indices local to the tree and features in full-design
+    coordinates."""
+
+    def __init__(self, xt, cols, y, min_leaf, leaf_of_row):
+        self.xt = xt
+        self.cols = cols
+        self.y = y
+        self.min_leaf = min_leaf
+        self.leaf_of_row = leaf_of_row
+        self.feature, self.threshold, self.left, self.right, self.value = [], [], [], [], []
+
+    def build(self, rows, order, depth_left):
+        idx = len(self.feature)
+        self.feature.append(-1)
+        self.threshold.append(0.0)
+        self.left.append(-1)
+        self.right.append(-1)
+        self.value.append(0.0)
+        if depth_left == 0 or rows.size < 2 * self.min_leaf:
+            return self._close_leaf(idx, rows)
+        feat, thr, gain, _ = _best_split(self.xt, self.y, rows, order, self.min_leaf)
+        if feat < 0 or gain <= 0.0:
+            return self._close_leaf(idx, rows)
+        go_left = self.xt[feat] <= thr
+        row_left, order_left = go_left[rows], go_left[order]
+        n_feat = order.shape[0]
+        self.feature[idx] = int(self.cols[feat])
+        self.threshold[idx] = float(thr)
+        self.left[idx] = self.build(rows[row_left], order[order_left].reshape(n_feat, -1),
+                                    depth_left - 1)
+        self.right[idx] = self.build(rows[~row_left], order[~order_left].reshape(n_feat, -1),
+                                     depth_left - 1)
+        return idx
+
+    def _close_leaf(self, idx, rows):
+        v = float(np.mean(self.y[rows]))
+        self.value[idx] = v
+        self.leaf_of_row[rows] = v
+        return idx
+
+
+def reference_fit(x, y, params):
+    """Presorted boosting that grows each tree on its own, then copies it into
+    forest-wide lists with its root offset added to every child index."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    cols = np.flatnonzero(np.any(x != x[0], axis=0))
+    xt = np.ascontiguousarray(x[:, cols].T)
+    order = np.argsort(xt, axis=1, kind="stable")
+    base = float(np.mean(y))
+    residual = y - base
+    feats, thrs, lefts, rights, values, offsets = [], [], [], [], [], []
+    leaf_of_row = np.zeros(len(y))
+    for _ in range(params.rounds):
+        tb = ReferenceTreeBuilder(xt, cols, residual, params.min_leaf, leaf_of_row)
+        tb.build(np.arange(len(y)), order, params.max_depth)
+        off = len(feats)
+        offsets.append(off)
+        feats.extend(tb.feature)
+        thrs.extend(tb.threshold)
+        lefts.extend(v if v < 0 else v + off for v in tb.left)
+        rights.extend(v if v < 0 else v + off for v in tb.right)
+        values.extend(tb.value)
+        residual = residual - params.learning_rate * leaf_of_row
+    return BoostedForest(
+        base_score=base, learning_rate=params.learning_rate, n_features=x.shape[1],
+        feature=np.asarray(feats, dtype=np.int64), threshold=np.asarray(thrs),
+        left=np.asarray(lefts, dtype=np.int64), right=np.asarray(rights, dtype=np.int64),
+        value=np.asarray(values), offsets=np.asarray(offsets, dtype=np.int64),
+    )
+
+
+def reference_designs(rng):
+    """(name, x, y, params) cases at the edges of tree growth."""
+    x = rng.normal(size=(60, 4))
+    y = x[:, 0] + np.sin(2 * x[:, 1]) + 0.1 * rng.normal(size=60)
+    yield "0 rounds", x, y, GBTParams(rounds=0)
+    yield "stumps", x, y, GBTParams(rounds=12, max_depth=1, learning_rate=0.3)
+    for n in (40, 41):
+        # a node of n rows has one split point (n = 40) or two (n = 41)
+        yield f"min_leaf {n // 2} of {n} rows", x[:n], y[:n], \
+            GBTParams(rounds=5, max_depth=4, min_leaf=n // 2)
+    tied = np.round(rng.normal(size=(90, 6)), 0)
+    tied[:, [1, 4]] = [2.0, -1.0]
+    yield "constant and tied columns", tied, np.round(rng.normal(size=90), 1) + tied[:, 0], \
+        GBTParams(rounds=10, max_depth=5, learning_rate=0.2, min_leaf=2)
+    recs, baseline = residual_fixture()
+    splits = DatasetSplits(recs, [], [])
+    schema = training_schema(splits)
+    x_num, x_cat, y = build_training_rows(recs, baseline, schema)
+    yield "residual fixture", one_hot_matrix(schema, x_num, x_cat), y, GBTParams(rounds=20)
+
+
+def test_forest_matches_the_per_tree_builder(rng):
+    for name, x, y, params in reference_designs(rng):
+        text = fit_gbt_arrays(x, y, params).dump_text()
+        assert text == reference_fit(x, y, params).dump_text(), name
+        assert BoostedForest.from_text(text).dump_text() == text, name
