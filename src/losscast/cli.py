@@ -406,15 +406,15 @@ def _read_losses(path: str) -> tuple[list[str | None], list[float]]:
                 continue
             obj = json.loads(line)
             if isinstance(obj, dict):
-                for key in keys:
-                    if key in obj:
-                        losses.append(float(obj[key]))
-                        break
-                else:
-                    if obj.get("curve") is None:
-                        raise ValueError(f"{path}:{lineno}: no loss field")
-                    # a curve-only run: the smoothed tail eval --model scores
+                key = next((k for k in keys if k in obj), None)
+                if key != "predicted_final_loss" and obj.get("curve") is not None:
+                    # a run with a curve: its smoothed tail, which eval --model
+                    # scores whatever final_loss the line also carries
                     losses.append(record_from_obj(obj).final_loss)
+                elif key is None:
+                    raise ValueError(f"{path}:{lineno}: no loss field")
+                else:
+                    losses.append(float(obj[key]))
                 ids.append(obj.get("run_id"))
             else:
                 losses.append(float(obj))

@@ -2,7 +2,7 @@
 
 Each categorical field owns an embedding table; each numerical field is
 mapped scalar -> d_e through a small two-layer feed-forward encoder (shared
-shape, separate weights, evaluated for all fields at once via broadcasting).
+shape, separate weights; the first layer evaluated for all fields at once).
 The concatenated field embeddings feed an L-layer GELU trunk and a linear
 head that predicts the residual of the observed loss against a Chinchilla
 baseline. Training is plain minibatch MSE with an in-house AdamW (decoupled
@@ -14,13 +14,16 @@ and the update rule are hand-written numpy.
 A batch repeats few values per numerical field (a curve run's rows share one
 config), so the encoder's elementwise part -- its first layer, GELU and, in
 backward, the GELU derivative -- runs once per distinct value of each field
-(by bit pattern) and is gathered back to (batch, field, hidden). Elementwise
-arithmetic gives an entry the same bits whichever array holds it, and the
-matmuls and batch sums still run over every row in their original layout and
-order, so outputs, gradients and checkpoints are bit-identical to evaluating
-every row. A training step writes into buffers the model keeps from step to
-step, not into fresh temporaries, with every operation in its original order;
-an inference pass works in buffers of its own, freed when it returns.
+(by bit pattern). Then, one field at a time, a numerical field's activations
+are gathered back to the batch and multiplied straight into its columns of the
+trunk input, a categorical field's embedding rows are copied into its columns,
+and backward fills each field's gradients from its columns of the trunk
+input's gradient. Elementwise arithmetic and a field's own matmul give the
+same bits as over all fields at once, and batch sums keep batch order, so
+outputs, gradients and checkpoints are bit-identical to evaluating every row.
+A training step writes into buffers the model keeps from step to step, with
+every operation in its original order; an inference pass into its own, freed
+when it returns, holding little beyond the trunk input and one trunk layer.
 
 Numerical slots are additionally standardized inside the model using training
 -set statistics (stored as buffers in the checkpoint); canonical scale factors
@@ -101,8 +104,9 @@ def _distinct_per_field(xs: np.ndarray):
 
 
 class _Scratch:
-    """Float64 work arrays by name, each reused from call to call and grown to
-    the largest size asked of it, handed out as C-ordered views."""
+    """Float64 work arrays by name (trunk input, trunk layers, one field's
+    (batch, hidden) blocks), each reused from call to call, grown to the
+    largest size asked of it and handed out as C-ordered views."""
 
     def __init__(self):
         self._flat: dict[str, np.ndarray] = {}
@@ -256,14 +260,11 @@ class RegressorModel:
         self._scratch = _Scratch()
         self.num_fields = schema.numerical_fields()
         self.cat_fields = schema.categorical_fields()
-        # the trunk input holds one d_emb block per field, in schema order
-        numerical = np.array([s.kind == NUMERICAL for s in schema.specs])
-        self.num_pos = np.flatnonzero(numerical)
-        self.cat_pos = np.flatnonzero(~numerical)
-        # first row of each categorical field's table in the tables stacked
-        sizes = [len(s.vocabulary) for s in self.cat_fields]
-        self.cat_offsets = np.cumsum([0] + sizes[:-1], dtype=np.int64)
-        self.cat_rows = sum(sizes)
+        # the trunk input holds d_emb columns per field, in schema order
+        cols = [slice(i * arch.d_emb, (i + 1) * arch.d_emb) for i in range(len(schema.specs))]
+        self.num_cols = [c for c, s in zip(cols, schema.specs) if s.kind == NUMERICAL]
+        self.cat_cols = [c for c, s in zip(cols, schema.specs) if s.kind != NUMERICAL]
+        self.emb_keys = [f"emb_{s.name}" for s in self.cat_fields]
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -297,7 +298,7 @@ class RegressorModel:
         # a training pass works in buffers reused from step to step; an
         # inference pass (validation, prediction) in its own, freed on return
         work = self._scratch if want_cache else _Scratch()
-        b, nf, dh, de = x_num.shape[0], len(self.num_fields), self.arch.d_hid, self.arch.d_emb
+        b, de = x_num.shape[0], self.arch.d_emb
         x_num = np.clip(x_num, buf["num_min"], buf["num_max"])
         xs = (x_num - buf["num_mean"]) / buf["num_std"]
         # the encoder's elementwise part runs once per distinct field value;
@@ -305,21 +306,20 @@ class RegressorModel:
         values, field, index = _distinct_per_field(xs)
         pre1 = values[:, None] * p["num_w1"][field] + p["num_b1"][field]
         cdf1 = norm_cdf(pre1)
-        # every index is in range by construction; mode="clip" spares take a
-        # buffered copy of its output
-        h1 = np.take(pre1 * cdf1, index, axis=0, out=work("h1", (b, nf, dh)), mode="clip")
-        # (F, B, H) @ (F, H, E) -> (F, B, E); stacked matmul hits BLAS per field
-        enc = np.matmul(h1.transpose(1, 0, 2), p["num_w2"],
-                        out=work("enc", (nf, b, de)))
-        enc += p["num_b2"][:, None, :]
+        hidden = pre1 * cdf1
 
-        # the trunk input: each field's d_emb block at its schema position
-        tables = np.concatenate([p[f"emb_{f.name}"] for f in self.cat_fields])
-        z = work("z", (b, len(self.schema.specs), de))
-        z[:, self.num_pos] = enc.transpose(1, 0, 2)
-        z[:, self.cat_pos] = tables[x_cat + self.cat_offsets]
+        # the trunk input, written field by field into each field's columns
+        z = work("z", (b, len(self.schema.specs) * de))
+        for ix, w2, b2, cols in zip(index.T, p["num_w2"], p["num_b2"], self.num_cols):
+            # a fresh (batch, hidden) gather per field, so none outlives the
+            # loop; every index is in range by construction, so take skips
+            # the check
+            enc = np.matmul(hidden.take(ix, axis=0, mode="clip"), w2, out=z[:, cols])
+            enc += b2
+        for ix, key, cols in zip(x_cat.T, self.emb_keys, self.cat_cols):
+            z[:, cols] = p[key].take(ix, axis=0)
 
-        pre_acts, cdfs, acts = [], [], [z.reshape(b, -1)]
+        pre_acts, cdfs, acts = [], [], [z]
         for i in range(self.arch.trunk_layers):
             w = p[f"trunk_w{i}"]
             tag = i if want_cache else 0    # inference keeps one layer at a time
@@ -332,7 +332,7 @@ class RegressorModel:
         out = (acts[-1] @ p["head_w"] + p["head_b"])[:, 0]
         if not want_cache:
             return out
-        cache = {"xs": xs, "pre1": pre1, "cdf1": cdf1, "index": index, "h1": h1,
+        cache = {"xs": xs, "pre1": pre1, "cdf1": cdf1, "h": hidden, "index": index,
                  "x_cat": x_cat, "pre_acts": pre_acts, "cdfs": cdfs, "acts": acts}
         return out, cache
 
@@ -366,35 +366,33 @@ class RegressorModel:
                 grads[f"trunk_b{i}"] = da.sum(axis=0)
             dz = np.matmul(da, w.T, out=work("dz", (b, w.shape[0])))
 
-        de = self.arch.d_emb
-        nf, dh = len(self.num_fields), self.arch.d_hid
-        dz = dz.reshape(b, len(self.schema.specs), de)
-        dnum = np.take(dz, self.num_pos, axis=1, out=work("dnum", (b, nf, de)), mode="clip")
-        emb_keys = [f"emb_{f.name}" for f in self.cat_fields]
-        if not skip.issuperset(emb_keys):
-            # one bincount over the stacked tables adds each row's gradient in
-            # batch order, as np.add.at does
-            rows = cache["x_cat"] + self.cat_offsets
-            slot = (rows[:, :, None] * de + np.arange(de)).ravel()
-            stacked = np.bincount(slot, weights=dz[:, self.cat_pos].ravel(),
-                                  minlength=self.cat_rows * de).reshape(self.cat_rows, de)
-            for key, lo, f in zip(emb_keys, self.cat_offsets.tolist(), self.cat_fields):
-                if key not in skip:
-                    grads[key] = stacked[lo:lo + len(f.vocabulary)]
+        de, dh = self.arch.d_emb, self.arch.d_hid
+        for ix, key, cols in zip(cache["x_cat"].T, self.emb_keys, self.cat_cols):
+            if key not in skip:
+                # bincount adds each row's gradient in batch order, as np.add.at does
+                rows = p[key].shape[0]
+                slot = (ix[:, None] * de + np.arange(de)).ravel()
+                grads[key] = np.bincount(slot, weights=dz[:, cols].ravel(),
+                                         minlength=rows * de).reshape(rows, de)
 
         if "num_w1" not in skip:
-            dnum_f = dnum.transpose(1, 0, 2)        # (F, B, E)
-            grads["num_w2"] = np.matmul(cache["h1"].transpose(1, 2, 0), dnum_f)
-            grads["num_b2"] = dnum.sum(axis=0)
-            dh1 = np.matmul(dnum_f, p["num_w2"].transpose(0, 2, 1),
-                            out=work("dh1", (nf, b, dh))).transpose(1, 0, 2)
-            dpre1 = np.take(gelu_grad(cache["pre1"], cache["cdf1"]), cache["index"],
-                            axis=0, out=work("dpre1", (b, nf, dh)), mode="clip")
-            dpre1 *= dh1
-            # dh1 is spent, so its buffer takes the product
-            grads["num_w1"] = np.multiply(cache["xs"][:, :, None], dpre1,
-                                          out=work("dh1", (b, nf, dh))).sum(axis=0)
-            grads["num_b1"] = dpre1.sum(axis=0)
+            gw1, gb1, gw2, gb2 = (np.empty(p[k].shape)
+                                  for k in ("num_w1", "num_b1", "num_w2", "num_b2"))
+            hidden, index, xs = cache["h"], cache["index"], cache["xs"]
+            dgelu1 = gelu_grad(cache["pre1"], cache["cdf1"])
+            h, dh1, dpre1 = (work(name, (b, dh)) for name in ("h", "dh1", "dpre1"))
+            for j, cols in enumerate(self.num_cols):
+                dnum = dz[:, cols]
+                hidden.take(index[:, j], axis=0, out=h, mode="clip")
+                np.matmul(h.T, dnum, out=gw2[j])
+                np.sum(dnum, axis=0, out=gb2[j])
+                np.matmul(dnum, p["num_w2"][j].T, out=dh1)
+                dgelu1.take(index[:, j], axis=0, out=dpre1, mode="clip")
+                dpre1 *= dh1
+                # dh1 is spent, so its buffer takes the product
+                np.sum(np.multiply(xs[:, j, None], dpre1, out=dh1), axis=0, out=gw1[j])
+                np.sum(dpre1, axis=0, out=gb1[j])
+            grads.update(num_w1=gw1, num_b1=gb1, num_w2=gw2, num_b2=gb2)
         return grads
 
     def _check_shapes(self, x_num, x_cat):

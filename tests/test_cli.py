@@ -636,9 +636,15 @@ def test_both_eval_modes_score_curve_runs_alike(curve_kept, tmp_path):
     # 20 runs are too few for a Chinchilla fit; a fixed law stands in as the model
     save_fits([ChinchillaFit(e=1.5, a=2.0, b=1.0, alpha=0.3, beta=0.3, scope=Scope("lab"),
                              objective=0.0, n_points=0)], fits)
-    for part in SPLITS[1:]:
+    # ingest writes curve-only lines; a raw log line may also carry a
+    # final_loss, and both modes score it by its curve all the same
+    assert all("final_loss" not in o for part in SPLITS[1:]
+               for o in read_jsonl(tmp_path / f"{part}.jsonl"))
+    (tmp_path / "with_final.jsonl").write_text("".join(
+        json.dumps({**o, "final_loss": 9.0}) + "\n"
+        for o in read_jsonl(tmp_path / "id_val.jsonl")[:3]))
+    for part in (*SPLITS[1:], "with_final"):
         runs = str(tmp_path / f"{part}.jsonl")
-        assert all("final_loss" not in o for o in read_jsonl(runs))
         assert main(["predict", "--model", str(fits), "--input", runs,
                      "--output", str(preds)]) == 0
         by_model, by_pred = tmp_path / f"model-{part}.json", tmp_path / f"pred-{part}.json"

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import zipfile
 
 import numpy as np
@@ -193,9 +194,10 @@ def test_backward_skip_omits_blocks_but_keeps_flow():
 # -- the step against its reference implementation --------------------------------
 #
 # The model's step evaluates the encoder's elementwise part once per distinct
-# field value, writes into reusable buffers and scatters embedding gradients
-# with bincount. These are the step's bodies as first written, every entry
-# through the encoder; the step must reproduce them bit for bit.
+# field value, joins the encoders to the trunk one field at a time, writes into
+# reusable buffers and scatters embedding gradients with bincount. These are
+# the step's bodies as first written, every entry through the encoder and all
+# fields stacked; the step must reproduce them bit for bit.
 
 def reference_norm_cdf(x):
     return 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
@@ -341,7 +343,9 @@ def assert_step_matches_reference(model, x_num, x_cat, targets):
     model.forward_batch(np.repeat(x_num, 3, axis=0), np.repeat(x_cat, 3, axis=0))
     want_out, want_cache = reference_forward(model, x_num, x_cat)
     assert_same_bits(out, want_out, "out")
-    assert_same_bits(cache["h1"], want_cache["h1"], "encoder activations")
+    # the cache holds each distinct value's activations; gathered back to
+    # (batch, field, d_hid), they are the reference's
+    assert_same_bits(cache["h"][cache["index"]], want_cache["h1"], "encoder activations")
     stage1_skip = set(model.trunk_keys())
     for skip in (frozenset(), stage1_skip):
         grads = model.backward_batch(out, targets, cache, skip=skip)
@@ -399,6 +403,28 @@ def test_three_training_steps_reproduce_the_reference_bit_for_bit(include_frac):
             assert_same_bits(model.params[k], ref.params[k], f"{k} at step {step}")
             assert_same_bits(state["m"][k], ref_state["m"][k], f"m {k} at step {step}")
             assert_same_bits(state["v"][k], ref_state["v"][k], f"v {k} at step {step}")
+
+
+def test_an_inference_pass_holds_little_beyond_the_trunk_input():
+    # a validation pass over curve rows: 72 runs of 30 points each
+    schema = Schema.default(include_frac=True)
+    runs = [make_config(peak_lr=1e-3 * (1 + i % 6), model_size_n=130.0 + 5 * i)
+            for i in range(72)]
+    fracs = [k / 30 for k in range(1, 31)]
+    x_num, x_cat = encode_batch(schema, [c for c in runs for _ in fracs], fracs * len(runs))
+    model = RegressorModel(schema, Arch(), seed=0)
+    model.set_standardization(x_num)
+    rows, arch = x_num.shape[0], model.arch
+    # the trunk input plus one layer's pre-activation, cdf and activation
+    floor = 8 * rows * (len(schema.specs) * arch.d_emb + 3 * arch.trunk_width)
+    tracemalloc.start()
+    try:
+        model.forward_batch(x_num, x_cat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows >= 2000
+    assert floor <= peak <= 1.1 * floor, (peak, floor)
 
 
 # -- optimizer -----------------------------------------------------------------------
