@@ -80,7 +80,6 @@ from .synth import (
     generate_synthetic_runs,
     oracle_curve,
     oracle_loss,
-    write_synthetic_dataset,
 )
 
 __version__ = "0.1.0"

@@ -10,7 +10,8 @@ the parser and drives ``_resolve``. A ``--config`` JSON file can pre-set any
 long flag (flags still win) with a value of that flag's JSON type, and it may
 supply required settings; every command that writes artifacts also writes the
 resolved settings next to them so reruns are reproducible. Same inputs, same
-seeds: byte-identical outputs.
+seeds: byte-identical outputs. A settings file (``--config``, ``--plan``,
+``--base``, ``--oracle``) must hold a JSON object, or the command writes nothing.
 
 Exit codes: 0 success, 1 pipeline error (tagged with the failing module),
 2 usage error.
@@ -39,6 +40,7 @@ from .ingest import (
     record_from_obj,
     record_to_obj,
     split_dataset,
+    write_json,
     write_split_manifest,
     OOD_THRESHOLD_N,
     TRAIN_RATIO,
@@ -54,7 +56,7 @@ from .metrics import compute_metrics, evaluate_split, export_contour_data
 from .regressor import TrainPlan, TrainedPredictor, train
 from .schema import Schema
 from .select import SweepGrid, recommend
-from .synth import OracleParams, SynthDesign, write_synthetic_dataset
+from .synth import OracleParams, SynthDesign, generate_synthetic_objects
 
 
 # -- config-file / flag resolution ---------------------------------------------
@@ -93,11 +95,7 @@ def _resolve(args: argparse.Namespace) -> dict:
     resolved = {name: None if default is REQUIRED else default
                 for name, default, _, _ in settings}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise ValueError(f"config file {args.config} must hold a JSON object")
-        for key, value in data.items():
+        for key, value in _read_object(args.config, "config file").items():
             if key not in kinds:
                 raise ValueError(f"unknown config key '{key}' in {args.config}")
             if value is None:
@@ -121,19 +119,13 @@ def _resolve(args: argparse.Namespace) -> dict:
     return resolved
 
 
-def _write_json(path: str, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _write_resolved(output: str, command: str, resolved: dict) -> None:
     """Drop the effective settings next to the artifacts."""
     if os.path.isdir(output):
         path = os.path.join(output, "resolved_config.json")
     else:
         path = output + ".resolved.json"
-    _write_json(path, {"command": command, "resolved": resolved})
+    write_json(path, {"command": command, "resolved": resolved})
 
 
 def _parse_fix(pairs) -> dict:
@@ -150,7 +142,37 @@ def _parse_fix(pairs) -> dict:
     return fixed
 
 
+# -- file formats: one reader or writer each --------------------------------------
+
+def _read_object(path: str, what: str) -> dict:
+    """A settings file's JSON object; ValueError naming the file for anything else."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{what} {path} is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} {path} must hold a JSON object, "
+                         f"not a JSON {type(data).__name__}")
+    return data
+
+
+def _read_lines(path: str):
+    """Yields (lineno, value) for each nonblank line of a line-delimited JSON
+    file; ValueError naming path:line at the first line that does not decode."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: not valid JSON: {exc}") from None
+            yield lineno, obj
+
+
 def _write_jsonl(path: str, objs) -> int:
+    """One compact, key-sorted JSON value per line; returns the line count."""
     n = 0
     with open(path, "w", encoding="utf-8") as fh:
         for obj in objs:
@@ -159,16 +181,20 @@ def _write_jsonl(path: str, objs) -> int:
     return n
 
 
+def _write_csv(path: str, header, rows) -> None:
+    """A header row, then each row with every value written as its repr."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([repr(v) for v in row] for row in rows)
+
+
 def _read_config_lines(path: str):
     """Yields (run_id, RunConfig) from a line-delimited config/run file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            if not isinstance(obj, dict):
-                raise ValueError(f"line {lineno}: not a JSON object")
-            yield str(obj.get("run_id") or f"line{lineno}"), config_from_obj(obj)
+    for lineno, obj in _read_lines(path):
+        if not isinstance(obj, dict):
+            raise ValueError(f"{path}:{lineno}: not a JSON object")
+        yield str(obj.get("run_id") or f"line{lineno}"), config_from_obj(obj)
 
 
 def load_predictor(path: str):
@@ -190,7 +216,7 @@ def load_predictor(path: str):
 def cmd_schema(r) -> int:
     schema = Schema.default(include_frac=r["frac"])
     if r["output"]:
-        _write_json(r["output"], schema.dump())
+        write_json(r["output"], schema.dump())
         _write_resolved(r["output"], "schema", r)
         print(f"schema v{schema.version} ({len(schema.specs)} fields, "
               f"hash {schema.schema_hash()}) -> {r['output']}")
@@ -201,14 +227,15 @@ def cmd_schema(r) -> int:
 
 def cmd_synth(r) -> int:
     if r["oracle"]:
-        with open(r["oracle"], "r", encoding="utf-8") as fh:
-            params = OracleParams.from_dict(json.load(fh))
+        params = OracleParams.from_dict(_read_object(r["oracle"], "oracle file"))
     else:
         params = OracleParams()
     if r["sigma"] is not None:
         params = dataclasses.replace(params, noise_sigma=float(r["sigma"]))
     design = SynthDesign.curve_default() if r["curves"] else SynthDesign()
-    out, sidecar = write_synthetic_dataset(params, design, r["seed"], r["output"])
+    out, sidecar = r["output"], r["output"] + ".oracle.json"
+    _write_jsonl(out, generate_synthetic_objects(params, design, r["seed"]))
+    write_json(sidecar, params.to_dict())
     _write_resolved(out, "synth", {**r, "oracle": sidecar})
     print(f"wrote {design.n_runs()} synthetic runs -> {out} (oracle: {sidecar})")
     return 0
@@ -299,14 +326,10 @@ def _load_split_dir(path: str) -> DatasetSplits:
 def cmd_train(r) -> int:
     if r["method"] == "gbt" and r["target"] == "curve":
         raise ValueError("curve prediction needs the neural method")
+    overrides = _read_object(r["plan"], "plan file") if r["plan"] else {}
 
     splits = _load_split_dir(r["input"])
     baseline = ChinchillaPredictor.load(r["fits"])
-
-    overrides = {}
-    if r["plan"]:
-        with open(r["plan"], "r", encoding="utf-8") as fh:
-            overrides = json.load(fh)
 
     if r["method"] == "gbt":
         params = GBTParams(**overrides)
@@ -321,7 +344,7 @@ def cmd_train(r) -> int:
         predictor = train(splits, plan, baseline, target_kind=r["target"])
         predictor.save(r["output"])
         report = predictor.report
-        _write_json(r["output"] + ".report.json", report.to_dict())
+        write_json(r["output"] + ".report.json", report.to_dict())
         last_mse = report.stage_final_mse.get("stage2", float("nan"))
         summary = (f"neural {r['target']}: {report.n_params} params, "
                    f"final train mse {last_mse:.3e}"
@@ -366,9 +389,8 @@ def cmd_curve(r) -> int:
 
 
 def cmd_sweep(r) -> int:
+    base_cfg = config_from_obj(_read_object(r["base"], "base config file"))
     predictor = load_predictor(r["model"])
-    with open(r["base"], "r", encoding="utf-8") as fh:
-        base_cfg = config_from_obj(json.load(fh))
     n = float(r["n"]) if r["n"] is not None else base_cfg.model_size_n
     d = float(r["d"]) if r["d"] is not None else base_cfg.data_size_d
     grid = SweepGrid.lr_bs(
@@ -381,13 +403,10 @@ def cmd_sweep(r) -> int:
     rec = recommend(predictor, n, d, grid=grid, constraints=fixed)
 
     os.makedirs(r["output"], exist_ok=True)
-    with open(os.path.join(r["output"], "surface.csv"), "w", encoding="utf-8",
-              newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["peak_lr", "batch_size", "predicted_loss"])
-        for cfg, loss in rec.predicted_surface:
-            w.writerow([repr(cfg.peak_lr), repr(cfg.batch_size), repr(loss)])
-    _write_json(os.path.join(r["output"], "recommendation.json"), rec.summary())
+    _write_csv(os.path.join(r["output"], "surface.csv"),
+               ["peak_lr", "batch_size", "predicted_loss"],
+               ((cfg.peak_lr, cfg.batch_size, loss) for cfg, loss in rec.predicted_surface))
+    write_json(os.path.join(r["output"], "recommendation.json"), rec.summary())
     _write_resolved(r["output"], "sweep",
                     {**r, "fix": fixed, "n": n, "d": d})
     print(f"swept {len(rec.predicted_surface)} points at N={n:g} D={d:g}: "
@@ -398,27 +417,26 @@ def cmd_sweep(r) -> int:
 
 
 def _read_losses(path: str) -> tuple[list[str | None], list[float]]:
+    """(run_ids, losses) of a file whose lines are bare numbers or objects with
+    a loss field or a curve; ValueError naming path:line at any other line."""
     ids, losses = [], []
     keys = ("predicted_final_loss", "final_loss", "loss")
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            if isinstance(obj, dict):
-                key = next((k for k in keys if k in obj), None)
-                if key != "predicted_final_loss" and obj.get("curve") is not None:
-                    # a run with a curve: its smoothed tail, which eval --model
-                    # scores whatever final_loss the line also carries
-                    losses.append(record_from_obj(obj).final_loss)
-                elif key is None:
-                    raise ValueError(f"{path}:{lineno}: no loss field")
-                else:
-                    losses.append(float(obj[key]))
-                ids.append(obj.get("run_id"))
+    for lineno, obj in _read_lines(path):
+        loss = obj
+        if isinstance(obj, dict):
+            key = next((k for k in keys if k in obj), None)
+            if key != "predicted_final_loss" and obj.get("curve") is not None:
+                # a run with a curve: its smoothed tail, which eval --model
+                # scores whatever final_loss the line also carries
+                loss = record_from_obj(obj).final_loss
+            elif key is None:
+                raise ValueError(f"{path}:{lineno}: no loss field")
             else:
-                losses.append(float(obj))
-                ids.append(None)
+                loss = obj[key]
+        if isinstance(loss, bool) or not isinstance(loss, (int, float)):
+            raise ValueError(f"{path}:{lineno}: loss {loss!r} is not a JSON number")
+        ids.append(obj.get("run_id") if isinstance(obj, dict) else None)
+        losses.append(float(loss))
     return ids, losses
 
 
@@ -433,11 +451,7 @@ def cmd_eval(r) -> int:
                     continue
                 surface.append((float(row[0]), float(row[1]), float(row[2])))
         grid = export_contour_data(surface, resolution=r["resolution"])
-        with open(r["output"], "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["peak_lr", "batch_size", "loss"])
-            for lr, bs, z in grid.rows():
-                w.writerow([repr(lr), repr(bs), repr(z)])
+        _write_csv(r["output"], ["peak_lr", "batch_size", "loss"], grid.rows())
         _write_resolved(r["output"], "eval", r)
         print(f"contoured {len(surface)} samples onto a "
               f"{r['resolution']}x{r['resolution']} grid -> {r['output']}")
@@ -463,7 +477,7 @@ def cmd_eval(r) -> int:
                          "or --contour-from")
 
     if r["output"]:
-        _write_json(r["output"], m.to_dict())
+        write_json(r["output"], m.to_dict())
         _write_resolved(r["output"], "eval", r)
     print(f"MAE={m.mae:.6f} RMSE={m.rmse:.6f} spearman={m.spearman_rho:.6f} "
           f"n={m.n}")

@@ -9,7 +9,8 @@ appear in training; below it, whole (optimizer, N, D) groups are assigned to
 one side so that near-duplicate runs cannot leak across the split.
 
 The two per-curve loops live here: the EMA recurrence in ``smooth_curve`` and
-the sliding-window slope scan of the instability filter.
+the sliding-window slope scan of the instability filter. So does
+``write_json``, the one writer of every JSON document the package saves.
 """
 
 from __future__ import annotations
@@ -281,6 +282,13 @@ def record_to_obj(record: RunRecord) -> dict:
     elif record.final_loss is not None:
         obj["final_loss"] = record.final_loss
     return obj
+
+
+def write_json(path: str | os.PathLike, obj) -> None:
+    """``obj`` as a JSON document: two-space indent, sorted keys, a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _parse_lines(path, build) -> tuple[list, list[tuple[int, str]]]:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitError, SchemaError, ScopeError
-from .ingest import RunRecord, nd_key
+from .ingest import RunRecord, nd_key, write_json
 from .schema import RunConfig
 
 HUBER_DELTA = 1e-3
@@ -78,6 +78,8 @@ class ChinchillaFit:
         whose terms are finite numbers that can be evaluated (E > 0, A, B >= 0),
         whose objective, if given, is a number (NaN when unfitted) and whose
         n_points, if given, is a non-negative integer."""
+        if not isinstance(d, dict):
+            raise SchemaError(f"baseline fit {d!r} is not a JSON object")
         if d.get("form") != "chinchilla":
             raise SchemaError(f"baseline fit has form {d.get('form')!r}, not 'chinchilla'")
         if not all(isinstance(d.get(k), (int, float)) and not isinstance(d[k], bool)
@@ -419,8 +421,10 @@ class ChinchillaPredictor:
 
     @classmethod
     def from_dump(cls, dumped: list[dict]) -> "ChinchillaPredictor":
-        """The inverse of ``dump``; raises SchemaError on a bad fit or on two
-        fits for one scope."""
+        """The inverse of ``dump``; raises SchemaError unless ``dumped`` is a
+        non-empty list of good fits with one fit per scope."""
+        if not isinstance(dumped, list) or not dumped:
+            raise SchemaError("baselines must be a non-empty JSON list of fits")
         fits: dict[Scope, ChinchillaFit] = {}
         for d in dumped:
             fit = ChinchillaFit.from_dict(d)
@@ -475,8 +479,6 @@ def save_fits(fits, out_dir: str | os.PathLike) -> list[str]:
     for scope, fit in items:
         tag = scope.tag() if scope is not None else "unscoped"
         path = os.path.join(out_dir, f"{fit.to_dict()['form']}_{tag}.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(fit.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, fit.to_dict())
         paths.append(path)
     return paths

@@ -37,6 +37,7 @@ NONE_TOKEN = "none"
 #: are not first-class fields
 N_EXTRA_SLOTS = 4
 _EXTRA_HASH_BUCKETS = 63
+_EXTRA_FIELDS = tuple((f"extra_key_{i}", f"extra_val_{i}") for i in range(N_EXTRA_SLOTS))
 
 #: optimizer-extra keys that are first-class fields: key -> (owner optimizer, field name)
 KNOWN_EXTRAS = {
@@ -229,9 +230,9 @@ def _default_specs() -> tuple[FieldSpec, ...]:
         _cat("kron_precond_lr", NONE_TOKEN, "0.1", "0.5", "1"),
     ]
     hash_vocab = (NONE_TOKEN,) + tuple(f"h{i}" for i in range(_EXTRA_HASH_BUCKETS))
-    for i in range(N_EXTRA_SLOTS):
-        specs.append(FieldSpec(f"extra_key_{i}", CATEGORICAL, vocabulary=hash_vocab))
-        specs.append(_num(f"extra_val_{i}", 1.0))
+    for key_field, val_field in _EXTRA_FIELDS:
+        specs.append(FieldSpec(key_field, CATEGORICAL, vocabulary=hash_vocab))
+        specs.append(_num(val_field, 1.0))
     return tuple(specs)
 
 
@@ -278,7 +279,25 @@ class Schema:
         """
         config.validate()
         self.check_frac(frac)
+        values = self._field_values(config, frac)
+        slots = []
+        for s in self.specs:
+            v = values[s.name]
+            if s.kind == NUMERICAL:
+                slots.append(float(v) * s.scale_factor)
+            else:
+                try:
+                    slots.append(s.vocabulary.index(v))
+                except ValueError:
+                    raise SchemaError(
+                        f"unknown value '{v}' for categorical field '{s.name}'"
+                    ) from None
+        return tuple(slots)
 
+    def _field_values(self, config: RunConfig, frac: float | None) -> dict:
+        """Each field's value before encoding: a raw number for a numerical
+        field, the token for a categorical one. The one place a config's
+        tokens are decided, for ``canonicalize`` and ``with_vocab_from``."""
         known, extra_pairs = self._split_extras(config)
         values = {
             "source": config.source,
@@ -304,28 +323,15 @@ class Schema:
             "kron_precond_lr": known.get("kron_precond_lr", NONE_TOKEN),
             "frac": frac,
         }
-        for i in range(N_EXTRA_SLOTS):
+        for i, (key_field, val_field) in enumerate(_EXTRA_FIELDS):
             if i < len(extra_pairs):
                 key, val = extra_pairs[i]
-                values[f"extra_key_{i}"] = _hash_extra_key(key)
-                values[f"extra_val_{i}"] = float(val)
+                values[key_field] = _hash_extra_key(key)
+                values[val_field] = float(val)
             else:
-                values[f"extra_key_{i}"] = NONE_TOKEN
-                values[f"extra_val_{i}"] = 0.0
-
-        slots = []
-        for s in self.specs:
-            v = values[s.name]
-            if s.kind == NUMERICAL:
-                slots.append(float(v) * s.scale_factor)
-            else:
-                try:
-                    slots.append(s.vocabulary.index(v))
-                except ValueError:
-                    raise SchemaError(
-                        f"unknown value '{v}' for categorical field '{s.name}'"
-                    ) from None
-        return tuple(slots)
+                values[key_field] = NONE_TOKEN
+                values[val_field] = 0.0
+        return values
 
     def check_frac(self, frac: float | None) -> None:
         """Raise SchemaError unless ``frac`` is what this schema's frac slot takes."""
@@ -361,24 +367,15 @@ class Schema:
     def with_vocab_from(self, configs) -> "Schema":
         """New schema whose categorical vocabularies also cover every value
         observed in ``configs`` (new values appended in sorted order)."""
-        seen: dict[str, set[str]] = {}
-
-        def note(fname, value):
-            seen.setdefault(fname, set()).add(value)
-
+        seen: dict[str, set[str]] = {s.name: set() for s in self.categorical_fields()}
         for c in configs:
-            note("source", c.source)
-            note("optimizer", c.optimizer)
-            note("lr_schedule", c.lr_schedule or NONE_TOKEN)
-            note("beta_pair", c.beta_token())
-            note("epsilon", c.epsilon_token())
-            known, _ = self._split_extras(c)
-            if "kron_precond_lr" in known:
-                note("kron_precond_lr", str(known["kron_precond_lr"]))
+            values = self._field_values(c, None)
+            for name, tokens in seen.items():
+                tokens.add(values[name])
 
         specs = []
         for s in self.specs:
-            if s.kind == CATEGORICAL and s.name in seen:
+            if s.kind == CATEGORICAL:
                 new = sorted(v for v in seen[s.name] if v not in s.vocabulary)
                 if new:
                     s = dataclasses.replace(s, vocabulary=s.vocabulary + tuple(new))

@@ -25,9 +25,7 @@ peak, so curves are monotone non-increasing past the warmup region.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -267,25 +265,6 @@ def generate_synthetic_runs(
 ) -> list[RunRecord]:
     objs = generate_synthetic_objects(params, design, seed)
     return [record_from_obj(obj) for obj in objs]
-
-
-def write_synthetic_dataset(
-    params: OracleParams,
-    design: SynthDesign | None,
-    seed: int,
-    out_path: str | os.PathLike,
-) -> tuple[str, str]:
-    """Write runs as line-delimited JSON plus an OracleParams sidecar."""
-    objs = generate_synthetic_objects(params, design, seed)
-    out_path = str(out_path)
-    with open(out_path, "w", encoding="utf-8") as fh:
-        for obj in objs:
-            fh.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
-    sidecar = out_path + ".oracle.json"
-    with open(sidecar, "w", encoding="utf-8") as fh:
-        json.dump(params.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return out_path, sidecar
 
 
 class OraclePredictor:

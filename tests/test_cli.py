@@ -655,3 +655,61 @@ def test_both_eval_modes_score_curve_runs_alike(curve_kept, tmp_path):
         want = json.loads(by_model.read_text())
         assert want["n"] == len(read_jsonl(runs))
         assert json.loads(by_pred.read_text())["mae"] == want["mae"]
+
+
+@pytest.mark.parametrize("flag", ["--config", "--plan", "--base", "--oracle"])
+@pytest.mark.parametrize("text, fault", [("[1]\n", "must hold a JSON object"),
+                                         ("{not json\n", "is not valid JSON")],
+                         ids=["list", "invalid"])
+def test_a_settings_file_must_hold_a_json_object(pipeline, tmp_path, capsys, flag, text,
+                                                 fault):
+    settings = tmp_path / "settings.json"
+    settings.write_text(text)
+    out = str(tmp_path / "out")
+    argv = {
+        "--config": ["synth", "--output", out],
+        "--plan": ["train", "--input", str(pipeline["splits"]), "--fits",
+                   str(pipeline["fits"]), "--output", out, "--method", "gbt"],
+        "--base": ["sweep", "--model", str(pipeline["model"]), "--output", out],
+        "--oracle": ["synth", "--output", out],
+    }[flag]
+    assert main([*argv, flag, str(settings)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [cli]: ") and str(settings) in err and fault in err
+    assert os.listdir(tmp_path) == ["settings.json"]
+
+
+@pytest.mark.parametrize("shape", ["object", "bare"])
+@pytest.mark.parametrize("loss", ['"1.5"', "true", "null"])
+@pytest.mark.parametrize("side", ["pred", "truth"])
+def test_eval_refuses_a_loss_that_is_not_a_json_number(tmp_path, capsys, shape, loss, side):
+    files = {}
+    for name, key in (("pred", "predicted_final_loss"), ("truth", "final_loss")):
+        second = loss if name == side else "1.0"
+        files[name] = tmp_path / f"{name}.jsonl"
+        files[name].write_text(f'{{"{key}": 2.0}}\n{{"{key}": {second}}}\n'
+                               if shape == "object" else f"2.0\n{second}\n")
+    out = tmp_path / "metrics.json"
+    assert main(["eval", "--pred", str(files["pred"]), "--truth", str(files["truth"]),
+                 "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [cli]: ") and f"{files[side]}:2: " in err
+    assert not out.exists()
+
+
+def test_line_readers_name_the_line_they_refuse(tmp_path, capsys):
+    fits = tmp_path / "fits"
+    save_fits([ChinchillaFit(e=1.5, a=2.0, b=1.0, alpha=0.3, beta=0.3, scope=Scope("lab"))],
+              fits)
+    configs = tmp_path / "configs.jsonl"
+    good = json.dumps({"source": "lab", "model_size_n": 100.0, "data_size_d": 10.0,
+                       "total_steps": 1000, "optimizer": "adamw", "peak_lr": 1e-3,
+                       "batch_size": 256})
+    for text, fault in ((good + "\n\n{broken\n", ":3: not valid JSON"),
+                        (good + "\n[1]\n", ":2: not a JSON object")):
+        configs.write_text(text)
+        assert main(["predict", "--model", str(fits), "--input", str(configs),
+                     "--output", str(tmp_path / "preds.jsonl")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [cli]: ") and f"{configs}{fault}" in err
+    assert not (tmp_path / "preds.jsonl").exists()

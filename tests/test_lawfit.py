@@ -411,6 +411,9 @@ BAD_BASELINES = {
     "fractional n_points": [{**SAVED_FIT, "n_points": 2.5}],
     "boolean n_points": [{**SAVED_FIT, "n_points": True}],
     "string n_points": [{**SAVED_FIT, "n_points": "12"}],
+    "list entry": [[1]],
+    "null entry": [None],
+    "string entry": ["x"],
 }
 
 
@@ -420,6 +423,19 @@ def test_bad_saved_baselines_fail_to_load(tmp_path, kind, case):
     path = save_model(kind, tmp_path / f"model.{kind}", BAD_BASELINES[case])
     with pytest.raises(SchemaError):
         load_predictor(path)
+
+
+@pytest.mark.parametrize("kind", ["zip", "gbt"])
+@pytest.mark.parametrize("baselines", [5, {}, []], ids=["number", "object", "empty"])
+def test_saved_baselines_must_be_a_non_empty_list(tmp_path, kind, baselines):
+    path = save_model(kind, tmp_path / f"model.{kind}", baselines)
+    with pytest.raises(SchemaError, match="non-empty JSON list"):
+        load_predictor(path)
+
+
+def test_an_empty_fit_directory_is_refused_as_such(tmp_path):
+    with pytest.raises(ValueError, match="no chinchilla fit files"):
+        load_predictor(save_model("fits", tmp_path / "fits", []))
 
 
 @pytest.mark.parametrize("kind", ["zip", "gbt", "fits"])

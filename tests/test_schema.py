@@ -250,6 +250,26 @@ def mixed_configs():
     ]
 
 
+def test_vocab_extension_adds_exactly_the_tokens_canonicalize_needs():
+    configs = mixed_configs() + [
+        make_config(optimizer="kron", optimizer_extras={"precond_lr": 0.25}),
+        make_config(epsilon=11.0, beta1=0.85, beta2=0.99, lr_schedule="rsqrt",
+                    source="zoo"),
+    ]
+    # checkpoints and GBT dumps carry the hash, so a widened schema must keep it
+    for include_frac, want_hash in ((False, "319d0a7ae4f7faa5"), (True, "1efafda59f0fbc16")):
+        base = Schema.default(include_frac)
+        schema = base.with_vocab_from(configs)
+        added = {s.name: s.vocabulary[len(b.vocabulary):]
+                 for s, b in zip(schema.specs, base.specs) if s.vocabulary != b.vocabulary}
+        assert added == {"source": ("weblab", "zoo"), "lr_schedule": ("rsqrt",),
+                         "beta_pair": ("0.85,0.99",), "epsilon": ("11",),
+                         "kron_precond_lr": ("0.25",)}
+        assert schema.schema_hash() == want_hash
+        for cfg in configs:
+            schema.canonicalize(cfg, frac=0.5 if include_frac else None)
+
+
 def test_encode_batch_matches_the_per_row_encoder():
     configs = mixed_configs()
     n = len(configs)

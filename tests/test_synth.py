@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from losscast.cli import main
 from losscast.synth import (
     ANCHOR_DATA_FRAC,
     BUMP_FRAC,
@@ -18,7 +19,6 @@ from losscast.synth import (
     generate_synthetic_runs,
     oracle_curve,
     oracle_loss,
-    write_synthetic_dataset,
 )
 from conftest import make_config
 
@@ -217,21 +217,17 @@ def test_curve_records_parse_with_increasing_steps(oracle_params):
     assert truth - 0.01 < record.final_loss < truth + 0.15
 
 
-def test_write_dataset_is_byte_deterministic(oracle_params, tmp_path):
-    a, a_side = write_synthetic_dataset(
-        oracle_params, None, seed=7, out_path=tmp_path / "a.jsonl"
-    )
-    b, _ = write_synthetic_dataset(
-        oracle_params, None, seed=7, out_path=tmp_path / "b.jsonl"
-    )
-    assert open(a, "rb").read() == open(b, "rb").read()
-    c, _ = write_synthetic_dataset(
-        oracle_params, None, seed=8, out_path=tmp_path / "c.jsonl"
-    )
-    assert open(a, "rb").read() != open(c, "rb").read()
-    with open(a_side, encoding="utf-8") as fh:
-        restored = OracleParams.from_dict(json.load(fh))
-    assert restored.to_dict() == oracle_params.to_dict()
+def test_synth_command_is_byte_deterministic(oracle_params, tmp_path):
+    def synth(name, seed):
+        out = tmp_path / name
+        assert main(["synth", "--output", str(out), "--seed", str(seed)]) == 0
+        return out.read_bytes()
+
+    a = synth("a.jsonl", 7)
+    assert a == synth("b.jsonl", 7)
+    assert a != synth("c.jsonl", 8)
+    sidecar = json.loads((tmp_path / "a.jsonl.oracle.json").read_text(encoding="utf-8"))
+    assert OracleParams.from_dict(sidecar).to_dict() == oracle_params.to_dict()
 
 
 def test_oracle_predictor_wraps_the_closed_form(oracle_params):
