@@ -53,8 +53,8 @@ from .lawfit import (
     select_best_per_group,
 )
 from .metrics import compute_metrics, evaluate_split, export_contour_data
-from .regressor import TrainPlan, TrainedPredictor, train
-from .schema import Schema
+from .regressor import StagePlan, TrainPlan, TrainedPredictor, train
+from .schema import Schema, SchemaError
 from .select import SweepGrid, recommend
 from .synth import OracleParams, SynthDesign, generate_synthetic_objects
 
@@ -190,11 +190,16 @@ def _write_csv(path: str, header, rows) -> None:
 
 
 def _read_config_lines(path: str):
-    """Yields (run_id, RunConfig) from a line-delimited config/run file."""
+    """Yields (run_id, RunConfig) from a line-delimited config/run file; a
+    refused line is named by path:line."""
     for lineno, obj in _read_lines(path):
         if not isinstance(obj, dict):
             raise ValueError(f"{path}:{lineno}: not a JSON object")
-        yield str(obj.get("run_id") or f"line{lineno}"), config_from_obj(obj)
+        try:
+            config = config_from_obj(obj)
+        except SchemaError as exc:
+            raise SchemaError(f"{path}:{lineno}: {exc}") from None
+        yield str(obj.get("run_id") or f"line{lineno}"), config
 
 
 def load_predictor(path: str):
@@ -227,7 +232,10 @@ def cmd_schema(r) -> int:
 
 def cmd_synth(r) -> int:
     if r["oracle"]:
-        params = OracleParams.from_dict(_read_object(r["oracle"], "oracle file"))
+        try:
+            params = OracleParams.from_dict(_read_object(r["oracle"], "oracle file"))
+        except ValueError as exc:
+            raise ValueError(f"oracle file {r['oracle']}: {exc}") from None
     else:
         params = OracleParams()
     if r["sigma"] is not None:
@@ -299,12 +307,26 @@ def cmd_fit(r) -> int:
     return 0
 
 
+def _known_keys(obj, cls, what: str) -> dict:
+    """``obj``, a JSON object each of whose keys names a field of the dataclass
+    ``cls``; ValueError naming ``what`` and the first key that does not."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {obj!r}")
+    names = [f.name for f in dataclasses.fields(cls)]
+    for key in obj:
+        if key not in names:
+            raise ValueError(f"unknown key '{key}' in {what}, which takes "
+                             + ", ".join(names))
+    return obj
+
+
 def _plan_from_overrides(target: str, overrides: dict) -> TrainPlan:
     plan = TrainPlan.curve_default() if target == "curve" else TrainPlan.final_default()
+    _known_keys(overrides, TrainPlan, "the plan")
     stage_over = {}
     for stage in ("stage1", "stage2"):
         if stage in overrides:
-            over = overrides.pop(stage)
+            over = _known_keys(overrides.pop(stage), StagePlan, stage)
             base = getattr(plan, stage)
             # a stage's warmup is one of the two fields; naming either drops the other
             if "warmup_ratio" in over or "warmup_steps" in over:
@@ -327,20 +349,25 @@ def cmd_train(r) -> int:
     if r["method"] == "gbt" and r["target"] == "curve":
         raise ValueError("curve prediction needs the neural method")
     overrides = _read_object(r["plan"], "plan file") if r["plan"] else {}
+    if r["method"] == "neural" and r["seed"] is not None:
+        overrides["seed"] = r["seed"]
+    try:
+        if r["method"] == "gbt":
+            params = GBTParams(**_known_keys(overrides, GBTParams, "the plan"))
+        else:
+            plan = _plan_from_overrides(r["target"], overrides)
+    except ValueError as exc:
+        raise ValueError(f"plan file {r['plan']}: {exc}") from None
 
     splits = _load_split_dir(r["input"])
     baseline = ChinchillaPredictor.load(r["fits"])
 
     if r["method"] == "gbt":
-        params = GBTParams(**overrides)
         predictor = fit_gbt(splits, baseline, params)
         predictor.save(r["output"])
         summary = (f"gbt: {params.rounds} rounds, depth {params.max_depth}, "
                    f"{len(splits.train)} train runs")
     else:
-        if r["seed"] is not None:
-            overrides["seed"] = r["seed"]
-        plan = _plan_from_overrides(r["target"], overrides)
         predictor = train(splits, plan, baseline, target_kind=r["target"])
         predictor.save(r["output"])
         report = predictor.report
@@ -446,10 +473,17 @@ def cmd_eval(r) -> int:
             raise ValueError("contour export requires --output")
         surface = []
         with open(r["contour_from"], "r", encoding="utf-8", newline="") as fh:
-            for row in csv.reader(fh):
+            reader = csv.reader(fh)
+            for row in reader:
                 if not row or row[0] == "peak_lr":
                     continue
-                surface.append((float(row[0]), float(row[1]), float(row[2])))
+                try:
+                    lr, bs, loss = map(float, row)
+                except ValueError:
+                    raise ValueError(f"{r['contour_from']}:{reader.line_num}: expected "
+                                     f"peak_lr, batch_size and loss as numbers, "
+                                     f"got {row!r}") from None
+                surface.append((lr, bs, loss))
         grid = export_contour_data(surface, resolution=r["resolution"])
         _write_csv(r["output"], ["peak_lr", "batch_size", "loss"], grid.rows())
         _write_resolved(r["output"], "eval", r)

@@ -22,8 +22,14 @@ input's gradient. Elementwise arithmetic and a field's own matmul give the
 same bits as over all fields at once, and batch sums keep batch order, so
 outputs, gradients and checkpoints are bit-identical to evaluating every row.
 A training step writes into buffers the model keeps from step to step, with
-every operation in its original order; an inference pass into its own, freed
-when it returns, holding little beyond the trunk input and one trunk layer.
+every operation in its original order. An inference pass writes into its own,
+freed when it returns, holding little beyond the trunk input and one trunk
+layer. At an epoch's end, a validation pass with no more rows than a step runs
+in the step's buffers; a larger one runs in its own, after the step's are
+freed (the next step allocates them afresh). Either way training holds the
+step's working set or the validation pass's, never both. AdamW updates each
+parameter block a chunk of at most ``ADAMW_CHUNK`` elements at a time, in two
+chunk-sized scratch rows.
 
 Numerical slots are additionally standardized inside the model using training
 -set statistics (stored as buffers in the checkpoint); canonical scale factors
@@ -106,10 +112,16 @@ def _distinct_per_field(xs: np.ndarray):
 class _Scratch:
     """Float64 work arrays by name (trunk input, trunk layers, one field's
     (batch, hidden) blocks), each reused from call to call, grown to the
-    largest size asked of it and handed out as C-ordered views."""
+    largest size asked of it and handed out as C-ordered views. The model's
+    own instance serves its training steps and any validation pass with no
+    more rows than a step; ``clear`` frees its arrays before a larger
+    validation pass, and the next step allocates them afresh."""
 
     def __init__(self):
         self._flat: dict[str, np.ndarray] = {}
+
+    def clear(self):
+        self._flat.clear()
 
     def __call__(self, name: str, shape: tuple) -> np.ndarray:
         size = math.prod(shape)
@@ -288,16 +300,21 @@ class RegressorModel:
 
     # -- forward / backward ------------------------------------------------
 
-    def forward_batch(self, x_num, x_cat, want_cache: bool = False):
+    def forward_batch(self, x_num, x_cat, want_cache: bool = False,
+                      in_step_buffers: bool = False):
         """Predicted residuals of a batch. With ``want_cache``, also the cache
-        ``backward_batch`` reads; it holds the model's reusable buffers, so it
-        is valid until the model's next forward pass with ``want_cache``."""
+        ``backward_batch`` reads; it holds the model's step buffers, so it is
+        valid until the model's next forward pass with ``want_cache`` or
+        ``in_step_buffers``. An inference pass works in buffers of its own,
+        freed when it returns; with ``in_step_buffers``, in the step's, which
+        it grows to its rows if it has more than a step."""
         self._check_shapes(x_num, x_cat)
         p = self.params
         buf = self.buffers
         # a training pass works in buffers reused from step to step; an
-        # inference pass (validation, prediction) in its own, freed on return
-        work = self._scratch if want_cache else _Scratch()
+        # inference pass (validation, prediction) in its own, freed on return,
+        # unless it is told to borrow the step's
+        work = self._scratch if want_cache or in_step_buffers else _Scratch()
         b, de = x_num.shape[0], self.arch.d_emb
         x_num = np.clip(x_num, buf["num_min"], buf["num_max"])
         xs = (x_num - buf["num_mean"]) / buf["num_std"]
@@ -411,20 +428,42 @@ class RegressorModel:
 
 # -- optimizer -------------------------------------------------------------------
 
+# AdamW updates each block this many elements at a time, so that a chunk's
+# parameters, moments, gradient and scratch rows stay in cache between its
+# dozen passes
+ADAMW_CHUNK = 16_384
+
+
+def _chunks(shape: tuple):
+    """Basic-index tuples that cut a block of ``shape`` into pieces of at most
+    ``ADAMW_CHUNK`` elements: runs of whole rows where a row fits, else each
+    row cut the same way. Basic indexing makes every piece a view, whatever
+    the block's memory layout, so an update of the piece is one of the block."""
+    inner = math.prod(shape[1:])
+    if inner <= ADAMW_CHUNK:
+        rows = ADAMW_CHUNK // max(inner, 1)
+        for r in range(0, shape[0], rows):
+            yield (slice(r, r + rows),)
+    else:
+        for r in range(shape[0]):
+            for rest in _chunks(shape[1:]):
+                yield (r, *rest)
+
+
 def adamw_init_state(params: dict, keys) -> dict:
     keys = list(keys)
-    largest = max((params[k].size for k in keys), default=0)
     return {
         "t": 0,
         "m": {k: np.zeros_like(params[k]) for k in keys},
         "v": {k: np.zeros_like(params[k]) for k in keys},
-        "work": np.empty((2, largest)),     # scratch for one block's update
+        "work": np.empty((2, ADAMW_CHUNK)),     # scratch for one chunk's update
     }
 
 
 def adamw_step(params, grads, state, lr, beta1=0.9, beta2=0.999,
                epsilon=1e-8, weight_decay=0.0):
-    """Decoupled-weight-decay Adam update, applied in place to the state's keys.
+    """Decoupled-weight-decay Adam update, applied in place to the state's keys,
+    one chunk of each block at a time.
 
     p <- p - lr * (m_hat / (sqrt(v_hat) + eps) + lambda * p)
     """
@@ -437,25 +476,27 @@ def adamw_step(params, grads, state, lr, beta1=0.9, beta2=0.999,
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
     for k in keys:
-        g = grads[k]
-        m = state["m"][k]
-        v = state["v"][k]
-        p = params[k]
-        step, tmp = (w[:g.size].reshape(g.shape) for w in state["work"])
-        m *= beta1
-        m += np.multiply(g, 1.0 - beta1, out=tmp)
-        v *= beta2
-        np.multiply(g, 1.0 - beta2, out=tmp)
-        tmp *= g
-        v += tmp
-        np.divide(m, bc1, out=step)     # m_hat
-        np.divide(v, bc2, out=tmp)      # v_hat
-        np.sqrt(tmp, out=tmp)
-        tmp += epsilon
-        step /= tmp
-        step += np.multiply(p, weight_decay, out=tmp)
-        step *= lr
-        p -= step
+        block = params[k]
+        for ix in _chunks(block.shape):
+            g = grads[k][ix]
+            m = state["m"][k][ix]
+            v = state["v"][k][ix]
+            p = block[ix]
+            step, tmp = (w[:g.size].reshape(g.shape) for w in state["work"])
+            m *= beta1
+            m += np.multiply(g, 1.0 - beta1, out=tmp)
+            v *= beta2
+            np.multiply(g, 1.0 - beta2, out=tmp)
+            tmp *= g
+            v += tmp
+            np.divide(m, bc1, out=step)     # m_hat
+            np.divide(v, bc2, out=tmp)      # v_hat
+            np.sqrt(tmp, out=tmp)
+            tmp += epsilon
+            step /= tmp
+            step += np.multiply(p, weight_decay, out=tmp)
+            step *= lr
+            p -= step
     return params, state
 
 
@@ -589,9 +630,18 @@ def _run_stage(
             t += 1
         last_mse = sq_sum / n
         report.train_mse.append((stage_name, epoch, last_mse))
+        # the last cache holds views of the step's buffers; it, the last
+        # outputs and the gradients are dead now
+        del out, cache, grads
         if val is not None:
             vx_num, vx_cat, vy = val
-            pred = model.forward_batch(vx_num, vx_cat)
+            # a validation pass no larger than a step fits in the step's
+            # buffers; a larger one gets its own, and the step's are freed
+            # first, so that training never holds both
+            fits = vy.shape[0] <= bs
+            if not fits:
+                model._scratch.clear()
+            pred = model.forward_batch(vx_num, vx_cat, in_step_buffers=fits)
             report.val_mae.append(
                 (stage_name, epoch, float(np.mean(np.abs(pred - vy))))
             )
@@ -629,6 +679,7 @@ def train(
     for k, v in trunk_before.items():
         if not np.array_equal(v, model.params[k]):
             raise TrainingError(f"trunk block '{k}' changed during stage 1")
+    del trunk_before
 
     if not report.aborted:
         _run_stage(model, plan.stage2, plan, list(model.params), data, rng, report,

@@ -93,6 +93,15 @@ class OracleParams:
 
     @classmethod
     def from_dict(cls, data: dict) -> "OracleParams":
+        """The parameters ``to_dict`` wrote: ValueError naming the first key
+        that is unknown or missing."""
+        names = [f.name for f in dataclasses.fields(cls)]
+        for key in data:
+            if key not in names:
+                raise ValueError(f"unknown oracle parameter '{key}'")
+        for key in names:
+            if key not in data:
+                raise ValueError(f"oracle parameters lack '{key}'")
         data = dict(data)
         data["curvature"] = tuple(tuple(row) for row in data["curvature"])
         return cls(**data)

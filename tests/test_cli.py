@@ -12,8 +12,17 @@ import pytest
 
 from losscast.cli import _plan_from_overrides, _resolve, build_parser, load_predictor, main
 from losscast.gbt import GBTPredictor
-from losscast.lawfit import ChinchillaFit, Scope, save_fits
-from losscast.regressor import TrainPlan, _resolve_warmup
+from losscast.lawfit import ChinchillaFit, ChinchillaPredictor, Scope, save_fits
+from losscast.regressor import (
+    Arch,
+    RegressorModel,
+    TrainPlan,
+    TrainReport,
+    TrainedPredictor,
+    _resolve_warmup,
+)
+from losscast.schema import Schema
+from losscast.synth import OracleParams
 from losscast.ingest import (
     config_from_obj,
     parse_runs,
@@ -150,6 +159,18 @@ def test_contour_export_from_sweep_surface(pipeline, tmp_path):
         rows = list(csv.reader(fh))
     assert len(rows) - 1 == 12 * 12
     assert rows[0] == ["peak_lr", "batch_size", "loss"]
+
+
+@pytest.mark.parametrize("row", ["0.001,256", "0.001,256,low", "0.001,256,2.5,1"],
+                         ids=["short", "not-a-number", "long"])
+def test_contour_export_names_the_row_it_refuses(pipeline, tmp_path, capsys, row):
+    surface = tmp_path / "surface.csv"
+    surface.write_text("peak_lr,batch_size,predicted_loss\n0.002,128,2.4\n" + row + "\n")
+    out = tmp_path / "contour.csv"
+    assert main(["eval", "--contour-from", str(surface), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [cli]: ") and f"{surface}:3: " in err
+    assert not out.exists()
 
 
 def resolved_record(output):
@@ -713,3 +734,46 @@ def test_line_readers_name_the_line_they_refuse(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error [cli]: ") and f"{configs}{fault}" in err
     assert not (tmp_path / "preds.jsonl").exists()
+
+
+def test_a_refused_config_line_is_located(tmp_path, capsys):
+    fits = tmp_path / "fits"
+    save_fits([ChinchillaFit(e=1.5, a=2.0, b=1.0, alpha=0.3, beta=0.3, scope=Scope("lab"))],
+              fits)
+    curve_model = tmp_path / "curve.zip"
+    TrainedPredictor(RegressorModel(Schema.default(include_frac=True), Arch(2, 2, 1, 2)),
+                     ChinchillaPredictor.load(str(fits)), TrainReport()).save(str(curve_model))
+    configs = tmp_path / "configs.jsonl"
+    configs.write_text("\n" + json.dumps({"source": "lab", "data_size_d": 10.0,
+                                          "total_steps": 1000, "optimizer": "adamw",
+                                          "peak_lr": 1e-3, "batch_size": 256}) + "\n")
+    for command, model in (("predict", fits), ("curve", curve_model)):
+        out = tmp_path / f"{command}.jsonl"
+        assert main([command, "--model", str(model), "--input", str(configs),
+                     "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [schema]: {configs}:2: ") and "'model_size_n'" in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, method, settings, key", [
+    ("--oracle", None, {}, "'e'"),
+    ("--oracle", None, {**OracleParams().to_dict(), "nope": 1}, "'nope'"),
+    ("--plan", "neural", {"nope": 1}, "'nope'"),
+    ("--plan", "neural", {"stage1": {"epochs": 1, "nope": 1}}, "'nope' in stage1"),
+    ("--plan", "neural", {"stage2": 5}, "stage2 must be a JSON object"),
+    ("--plan", "gbt", {"rounds": 3, "nope": 1}, "'nope'"),
+], ids=["oracle-missing", "oracle-unknown", "plan-unknown", "plan-stage-unknown",
+        "plan-stage-not-an-object", "gbt-plan-unknown"])
+def test_a_settings_object_with_a_missing_or_unknown_key_is_refused(
+        pipeline, tmp_path, capsys, flag, method, settings, key):
+    path = tmp_path / "settings.json"
+    path.write_text(json.dumps(settings))
+    out = str(tmp_path / "out")
+    argv = (["synth", "--output", out] if flag == "--oracle" else
+            ["train", "--input", str(pipeline["splits"]), "--fits", str(pipeline["fits"]),
+             "--output", out, "--method", method])
+    assert main([*argv, flag, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [cli]: ") and str(path) in err and key in err
+    assert os.listdir(tmp_path) == ["settings.json"]

@@ -22,12 +22,15 @@ from losscast.lawfit import ChinchillaFit, ChinchillaPredictor, Scope, save_fits
 from losscast.features import encode_batch
 from losscast.gbt import GBTParams, fit_gbt
 from losscast.regressor import (
+    ADAMW_CHUNK,
     MAX_CURVE_CHECKPOINTS,
     Arch,
     RegressorModel,
     StagePlan,
     TrainPlan,
+    TrainReport,
     TrainedPredictor,
+    _run_stage,
     adamw_init_state,
     adamw_step,
     build_training_rows,
@@ -427,6 +430,54 @@ def test_an_inference_pass_holds_little_beyond_the_trunk_input():
     assert floor <= peak <= 1.1 * floor, (peak, floor)
 
 
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("val_runs, batch", [(40, 200), (20, 600)],
+                         ids=["validation-larger-than-a-step", "validation-within-a-step"])
+def test_training_holds_the_step_or_the_validation_pass_never_both(val_runs, batch):
+    # curve rows of 20 training runs (600 rows) and of the validation runs
+    schema = Schema.default(include_frac=True)
+    fracs = [k / 30 for k in range(1, 31)]
+
+    def curve_rows(runs, seed):
+        configs = [make_config(peak_lr=1e-3 * (1 + i % 6), model_size_n=130.0 + 5 * i + seed)
+                   for i in range(runs)]
+        x_num, x_cat = encode_batch(schema, [c for c in configs for _ in fracs],
+                                    fracs * runs)
+        return x_num, x_cat, np.random.default_rng(seed).normal(0, 0.1, x_num.shape[0])
+
+    data, val = curve_rows(20, 0), curve_rows(val_runs, 1)
+    plan = TrainPlan(stage1=StagePlan(epochs=0, peak_lr=1e-3),
+                     stage2=StagePlan(epochs=2, peak_lr=1e-3), batch_size=batch)
+
+    def fresh_model():
+        model = RegressorModel(schema, Arch(), seed=0)
+        model.set_standardization(data[0])
+        return model
+
+    def stage_peak(val):
+        model = fresh_model()
+        return traced_peak(lambda: _run_stage(
+            model, plan.stage2, plan, list(model.params), data,
+            np.random.default_rng(1), TrainReport(), "stage2", val))
+
+    model = fresh_model()
+    validation = traced_peak(lambda: model.forward_batch(val[0], val[1]))
+    # AdamW's moments and scratch outlive the steps, through the validation pass
+    state = 8 * (2 * model.n_params() + 2 * ADAMW_CHUNK)
+    steps = stage_peak(None)
+    both = stage_peak(val)
+    assert validation <= both <= 1.05 * max(steps, validation + state), (
+        both, steps, validation, state)
+
+
 # -- optimizer -----------------------------------------------------------------------
 
 def test_adamw_single_step_by_hand():
@@ -455,6 +506,41 @@ def test_adamw_three_steps_match_hand_recurrence():
         vh = v / (1 - b2**t)
         w = w - lr * (mh / (math.sqrt(vh) + eps) + wd * w)
         assert params["w"][0] == pytest.approx(w, rel=1e-12), t
+
+
+def test_adamw_updates_blocks_of_any_size_and_layout_in_place():
+    rng = np.random.default_rng(3)
+    backing = rng.normal(size=(40, 900))
+    params = {
+        "long": rng.normal(size=2 * ADAMW_CHUNK + 5),        # three chunks
+        "rows": rng.normal(size=(300, 130)),                  # runs of whole rows
+        "wide": rng.normal(size=(2, 3, ADAMW_CHUNK + 1)),     # a row beyond one chunk
+        "transposed": rng.normal(size=(170, 200)).T,          # Fortran order
+        "strided": backing[:, ::2],                           # every other column
+    }
+    assert not params["transposed"].flags.c_contiguous
+    assert not params["strided"].flags.c_contiguous
+    blocks = dict(params)
+    ref = {k: v.copy() for k, v in params.items()}
+    keys = list(params)
+    state = adamw_init_state(params, keys)
+    ref_state = adamw_init_state(ref, keys)
+    assert state["work"].size <= 2 * ADAMW_CHUNK
+    hyper = dict(beta1=0.9, beta2=0.999, epsilon=1e-8, weight_decay=0.01)
+    for step in range(3):
+        grads = {k: rng.normal(size=v.shape) for k, v in params.items()}
+        grads["rows"] = np.ascontiguousarray(grads["rows"].T).T   # a gradient in F order
+        adamw_step(params, grads, state, lr=1e-3, **hyper)
+        reference_adamw_step(ref, grads, ref_state, lr=1e-3, **hyper)
+        for k in keys:
+            assert params[k] is blocks[k]
+            assert_same_bits(params[k], ref[k], f"{k} at step {step}")
+            assert_same_bits(state["m"][k], ref_state["m"][k], f"m {k} at step {step}")
+            assert_same_bits(state["v"][k], ref_state["v"][k], f"v {k} at step {step}")
+    # the strided block's updates reached the array it views, and only its columns
+    assert_same_bits(backing[:, ::2], ref["strided"], "strided block's backing array")
+    assert_same_bits(backing[:, 1::2], np.random.default_rng(3).normal(size=(40, 900))[:, 1::2],
+                     "columns between the strided block's")
 
 
 def test_adamw_rejects_nonfinite_gradients_before_mutating():
