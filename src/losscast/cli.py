@@ -35,6 +35,7 @@ from .ingest import (
     DatasetSplits,
     config_from_obj,
     filter_runs,
+    gc_paused,
     parse_runs,
     read_kept_lines,
     record_from_obj,
@@ -172,13 +173,32 @@ def _read_lines(path: str):
 
 
 def _write_jsonl(path: str, objs) -> int:
-    """One compact, key-sorted JSON value per line; returns the line count."""
+    """One compact, key-sorted JSON value per line; returns the line count.
+
+    The loop, which also drains ``objs`` when it is a generator, runs with the
+    cyclic collector paused: a curve record's ``tolist`` makes about 800 lists.
+    """
     n = 0
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8") as fh, gc_paused():
         for obj in objs:
             fh.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
             n += 1
     return n
+
+
+def _warn_skipped(path, malformed) -> None:
+    """One stderr line for the malformed lines a run-log reader skipped."""
+    if malformed:
+        lineno, msg = malformed[0]
+        print(f"warning [ingest]: {path}: skipped {len(malformed)} malformed "
+              f"line(s); first: line {lineno}: {msg}", file=sys.stderr)
+
+
+def _read_runs(path) -> list:
+    """parse_runs's records, after warning of the lines it skipped."""
+    parsed = parse_runs(path)
+    _warn_skipped(path, parsed.malformed)
+    return parsed.records
 
 
 def _write_csv(path: str, header, rows) -> None:
@@ -272,7 +292,8 @@ def cmd_ingest(r) -> int:
 def cmd_split(r) -> int:
     """Split ingest's kept.jsonl, copying each line as ingest wrote it to its
     split file; its curves are neither re-smoothed nor re-encoded."""
-    kept = read_kept_lines(r["input"])
+    kept, malformed = read_kept_lines(r["input"])
+    _warn_skipped(r["input"], malformed)
     records = [rec for rec, _ in kept]
     # keyed by identity: run_ids need not be unique
     line_of = {id(rec): line for rec, line in kept}
@@ -293,7 +314,7 @@ def cmd_split(r) -> int:
 
 
 def cmd_fit(r) -> int:
-    records = parse_runs(r["input"]).records
+    records = _read_runs(r["input"])
     fits = fit_baselines(records, per_optimizer=r["per_optimizer"])
     paths = save_fits(fits, r["output"])
     if r["power_law"]:
@@ -339,7 +360,7 @@ def _load_split_dir(path: str) -> DatasetSplits:
     parts = {}
     for name in ("train", "id_val", "ood_val"):
         fp = os.path.join(path, f"{name}.jsonl")
-        parts[name] = parse_runs(fp).records if os.path.exists(fp) else []
+        parts[name] = _read_runs(fp) if os.path.exists(fp) else []
     if not parts["train"]:
         raise ValueError(f"no train.jsonl records under {path}")
     return DatasetSplits(**parts)
@@ -504,7 +525,7 @@ def cmd_eval(r) -> int:
         m = compute_metrics(pred, truth)
     elif r["model"] and r["input"]:
         predictor = load_predictor(r["model"])
-        records = parse_runs(r["input"]).records
+        records = _read_runs(r["input"])
         m = evaluate_split(predictor, records)
     else:
         raise ValueError("eval needs --model/--input, --pred/--truth, "

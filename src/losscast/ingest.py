@@ -11,10 +11,21 @@ one side so that near-duplicate runs cannot leak across the split.
 The two per-curve loops live here: the EMA recurrence in ``smooth_curve`` and
 the sliding-window slope scan of the instability filter. So does
 ``write_json``, the one writer of every JSON document the package saves.
+
+``gc_paused`` switches CPython's cyclic garbage collector off for the loops
+that build or consume many short-lived containers: the run-log line loop
+(``_parse_lines``, behind ``parse_runs`` and ``read_kept_lines``), the CLI's
+JSONL writer and the synthetic generator. A curve line decodes into about 800
+``[step, loss]`` lists, so with the collector on the reader sets off about one
+collection per line, each scanning the live heap. Those trees of lists,
+floats and dicts hold no reference cycles, so reference counting frees them
+and the collector would find nothing to reclaim.
 """
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import json
 import math
 import os
@@ -291,6 +302,24 @@ def write_json(path: str | os.PathLike, obj) -> None:
         fh.write("\n")
 
 
+@contextlib.contextmanager
+def gc_paused():
+    """Disable the cyclic garbage collector for the body, then restore the
+    state it found, also when the body raises.
+
+    For loops that make many acyclic containers, which reference counting
+    frees; the collector's state is process-wide, so nested pauses leave it
+    to the outermost one.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def _parse_lines(path, build) -> tuple[list, list[tuple[int, str]]]:
     """The line loop of every run-log reader: ``build(obj, lineno, line)`` for
     each nonblank line that decodes to a JSON object.
@@ -301,7 +330,7 @@ def _parse_lines(path, build) -> tuple[list, list[tuple[int, str]]]:
     """
     items, malformed = [], []
     n_lines = 0
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, gc_paused():
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -332,8 +361,11 @@ def parse_runs(path: str | os.PathLike) -> ParseResult:
     return ParseResult(records=records, malformed=malformed)
 
 
-def read_kept_lines(path: str | os.PathLike) -> list[tuple[RunRecord, str]]:
-    """Read ``ingest``'s kept-run file for splitting: (record, line) pairs.
+def read_kept_lines(
+    path: str | os.PathLike,
+) -> tuple[list[tuple[RunRecord, str]], list[tuple[int, str]]]:
+    """Read ``ingest``'s kept-run file for splitting: (record, line) pairs,
+    and (line number, message) for every malformed line.
 
     Each line gets parse_runs's checks and malformed-line policy, but its
     curve is not smoothed: the record carries only what splitting needs, and
@@ -349,7 +381,7 @@ def read_kept_lines(path: str | os.PathLike) -> list[tuple[RunRecord, str]]:
                 f"they are, so each needs its own (ingest writes one)")
         return rec, line if line.endswith("\n") else line + "\n"
 
-    return _parse_lines(path, build)[0]
+    return _parse_lines(path, build)
 
 
 # -- filtering ----------------------------------------------------------------

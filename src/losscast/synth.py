@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ingest import RunRecord, config_to_obj, record_from_obj
+from .ingest import RunRecord, config_to_obj, gc_paused, record_from_obj
 from .schema import RunConfig
 
 #: warmup-bump peak location, as a fraction of training
@@ -244,28 +244,30 @@ def generate_synthetic_objects(
     design = design or SynthDesign()
     rng = np.random.default_rng(seed)
     objs = []
-    for i, config in enumerate(_design_configs(params, design)):
-        obj = config_to_obj(config)
-        obj["run_id"] = f"synth-{i:05d}"
-        obj["finished"] = True
-        true_loss = oracle_loss(params, config)
-        if design.with_curves:
-            k = design.curve_points
-            fracs = np.arange(1, k + 1) / k
-            curve = oracle_curve(params, config, fracs)
-            if params.noise_sigma > 0:
-                curve = curve + rng.normal(0.0, params.noise_sigma, size=k)
-            steps = np.round(fracs * config.total_steps).astype(np.int64)
-            prev = 0
-            for j in range(k):  # enforce strictly increasing integer steps
-                if steps[j] <= prev:
-                    steps[j] = prev + 1
-                prev = int(steps[j])
-            obj["curve"] = [[int(s), float(v)] for s, v in zip(steps, curve)]
-        else:
-            noise = float(rng.normal(0.0, params.noise_sigma)) if params.noise_sigma else 0.0
-            obj["final_loss"] = true_loss + noise
-        objs.append(obj)
+    # a curve design makes 800 [step, loss] lists per run, none in a cycle
+    with gc_paused():
+        for i, config in enumerate(_design_configs(params, design)):
+            obj = config_to_obj(config)
+            obj["run_id"] = f"synth-{i:05d}"
+            obj["finished"] = True
+            true_loss = oracle_loss(params, config)
+            if design.with_curves:
+                k = design.curve_points
+                fracs = np.arange(1, k + 1) / k
+                curve = oracle_curve(params, config, fracs)
+                if params.noise_sigma > 0:
+                    curve = curve + rng.normal(0.0, params.noise_sigma, size=k)
+                steps = np.round(fracs * config.total_steps).astype(np.int64).tolist()
+                prev = 0
+                for j, step in enumerate(steps):  # enforce strictly increasing integer steps
+                    if step <= prev:
+                        steps[j] = step = prev + 1
+                    prev = step
+                obj["curve"] = [[s, v] for s, v in zip(steps, curve.tolist())]
+            else:
+                noise = float(rng.normal(0.0, params.noise_sigma)) if params.noise_sigma else 0.0
+                obj["final_loss"] = true_loss + noise
+            objs.append(obj)
     return objs
 
 

@@ -1,3 +1,6 @@
+import contextlib
+import gc
+
 import numpy as np
 import pytest
 
@@ -28,6 +31,23 @@ def make_config(**overrides) -> RunConfig:
     )
     base.update(overrides)
     return RunConfig(**base)
+
+
+@contextlib.contextmanager
+def collections_started():
+    """A list that gains the generation of each cyclic collection started
+    within the block."""
+    started = []
+
+    def note(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.callbacks.append(note)
+    try:
+        yield started
+    finally:
+        gc.callbacks.remove(note)
 
 
 @pytest.fixture(scope="session")

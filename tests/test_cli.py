@@ -5,6 +5,7 @@ import csv
 import json
 import math
 import os
+import shutil
 import zipfile
 
 import numpy as np
@@ -615,6 +616,44 @@ def test_split_drops_malformed_kept_lines(curve_kept, tmp_path):
     without = tmp_path / "without.jsonl"
     without.write_text("".join(lines[:7] + lines[8:]))
     assert split_files(bad, tmp_path / "bad") == split_files(without, tmp_path / "good")
+
+
+def with_two_malformed_lines(src, dst):
+    """``src`` with a line that is not JSON as line 4 and, as line 8, its
+    seventh run without a peak_lr."""
+    lines = src.read_text().splitlines(keepends=True)
+    missing = json.loads(lines[6])
+    del missing["peak_lr"]
+    dst.parent.mkdir(exist_ok=True)
+    dst.write_text("".join(lines[:3] + ["{not json\n"] + lines[3:6]
+                           + [json.dumps(missing) + "\n"] + lines[7:]))
+    return dst
+
+
+@pytest.mark.parametrize("command", ["split", "fit", "train", "eval"])
+def test_run_log_readers_warn_of_the_lines_they_skip(pipeline, tmp_path, capsys, command):
+    splits = pipeline["splits"]
+    source = {"split": pipeline["ingested"] / "kept.jsonl",
+              "eval": splits / "id_val.jsonl"}.get(command, splits / "train.jsonl")
+    bad = with_two_malformed_lines(source, tmp_path / "in" / source.name)
+    if command == "train":
+        for name in ("id_val", "ood_val"):
+            shutil.copy(splits / f"{name}.jsonl", bad.parent)
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"rounds": 2}))
+        argv = ["train", "--input", str(bad.parent), "--fits", str(pipeline["fits"]),
+                "--output", str(tmp_path / "model.gbt"), "--method", "gbt",
+                "--plan", str(plan)]
+    elif command == "eval":
+        argv = ["eval", "--model", str(pipeline["model"]), "--input", str(bad)]
+    else:
+        argv = [command, "--input", str(bad), "--output", str(tmp_path / "out")]
+    capsys.readouterr()
+    assert main(argv) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(
+        f"warning [ingest]: {bad}: skipped 2 malformed line(s); first: line 4: ")
 
 
 def test_split_refuses_a_line_without_a_run_id(curve_kept, tmp_path, capsys):

@@ -1,5 +1,9 @@
 """File formats: each has one writer, and these pin the bytes it writes."""
 
+import hashlib
+
+import pytest
+
 from losscast.cli import _write_csv, _write_jsonl, main
 from losscast.ingest import write_json
 
@@ -54,3 +58,13 @@ def test_synth_writes_its_first_run_and_oracle_sidecar_as_pinned(tmp_path):
         assert fh.readline() == SYNTH_FIRST_LINE
         assert sum(1 for _ in fh) == 3023
     assert (tmp_path / "raw.jsonl.oracle.json").read_bytes() == SYNTH_SIDECAR
+
+
+@pytest.mark.parametrize("argv, digest", [
+    ([], "92a9e01339363dae7447ef01061a168869994c20e2f7c72bea1056e78620c678"),
+    (["--curves"], "7a6008703a383083189b3ed65a19627b712281dd1cce6fe6ba513cadbdb39849"),
+], ids=["final", "curves"])
+def test_synth_writes_the_whole_dataset_as_pinned(tmp_path, argv, digest):
+    out = tmp_path / "raw.jsonl"
+    assert main(["synth", "--output", str(out), "--seed", "7", *argv]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

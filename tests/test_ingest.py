@@ -1,5 +1,6 @@
 """Parsing, smoothing, the three rejection rules, and group-wise splitting."""
 
+import gc
 import json
 import math
 
@@ -17,6 +18,7 @@ from losscast.ingest import (
     RunRecord,
     config_from_obj,
     filter_runs,
+    gc_paused,
     group_key,
     nd_key,
     parse_runs,
@@ -26,7 +28,9 @@ from losscast.ingest import (
     split_dataset,
     write_split_manifest,
 )
-from conftest import make_config
+from losscast.cli import _write_jsonl
+from losscast.synth import OracleParams, SynthDesign, generate_synthetic_objects
+from conftest import collections_started, make_config
 
 
 def base_obj(**over):
@@ -126,6 +130,50 @@ def test_parse_rejects_mostly_malformed_files(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(FormatError):
         parse_runs(path)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_gc_paused_restores_the_collector_state_it_found(enabled):
+    try:
+        if not enabled:
+            gc.disable()
+        with gc_paused():
+            assert not gc.isenabled()
+        assert gc.isenabled() == enabled
+        with pytest.raises(RuntimeError), gc_paused():
+            raise RuntimeError("body fails")
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable()
+
+
+def test_a_refused_file_leaves_the_collector_enabled(tmp_path):
+    path = tmp_path / "runs.jsonl"
+    path.write_text("\n".join([json.dumps(base_obj())] + ["junk"] * 5) + "\n")
+    assert gc.isenabled()
+    with pytest.raises(FormatError):
+        parse_runs(path)
+    assert gc.isenabled()
+
+
+def test_curve_logs_are_read_and_written_without_cyclic_collections(tmp_path):
+    # 40 runs of 800 points: each line decodes into 801 lists, and with the
+    # collector on each line sets off a collection; paused, at most the one
+    # that comes due as the pause ends runs
+    design = SynthDesign(sizes=((130.0, 10.0), (215.0, 25.0)), optimizers=("adamw",),
+                         lr_log_offsets=(-0.6, -0.3, 0.0, 0.3, 0.6),
+                         bs_log_offsets=(-0.5, 0.5), weight_decays=(0.1, 0.6),
+                         with_curves=True)
+    log = tmp_path / "runs.jsonl"
+    _write_jsonl(log, generate_synthetic_objects(OracleParams(), design, seed=3))
+    assert gc.isenabled()
+    with collections_started() as started:
+        records = parse_runs(log).records
+    assert len(records) == 40 and len(started) <= 1
+    with collections_started() as started:
+        _write_jsonl(tmp_path / "kept.jsonl", (record_to_obj(r) for r in records))
+    assert len(started) <= 1
+    assert gc.isenabled()
 
 
 def test_record_round_trip(tmp_path):

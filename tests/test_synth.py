@@ -1,5 +1,6 @@
 """Synthetic oracle: closed-form losses, curves, and dataset generation."""
 
+import gc
 import json
 import math
 
@@ -20,7 +21,7 @@ from losscast.synth import (
     oracle_curve,
     oracle_loss,
 )
-from conftest import make_config
+from conftest import collections_started, make_config
 
 
 def hand_loss(p, config):
@@ -246,3 +247,33 @@ def test_generated_steps_follow_the_token_budget(oracle_params):
     (obj,) = generate_synthetic_objects(oracle_params, design, seed=0)
     expected = round(25.0 * 1e9 / (obj["batch_size"] * 2048 * 4))
     assert obj["total_steps"] == expected
+
+
+def test_curve_generation_runs_without_cyclic_collections(oracle_params):
+    design = SynthDesign(sizes=((215.0, 25.0),), optimizers=("adamw", "lion"),
+                         lr_log_offsets=(-0.6, 0.6), bs_log_offsets=(-0.5, 0.5),
+                         weight_decays=(0.1,), with_curves=True)
+    assert gc.isenabled()
+    with collections_started() as started:
+        objs = generate_synthetic_objects(oracle_params, design, seed=2)
+    # 8 runs of 800 [step, loss] lists; at most the collection that comes due
+    # as the pause ends
+    assert len(objs) == 8 and len(started) <= 1
+    assert gc.isenabled()
+
+
+def test_colliding_curve_steps_are_each_pushed_one_past_the_last(oracle_params):
+    design = SynthDesign(sizes=((130.0, 10.0),), optimizers=("adamw",),
+                         lr_log_offsets=(0.0,), bs_log_offsets=(0.6,),
+                         weight_decays=(0.1,), with_curves=True, curve_points=12000)
+    (obj,) = generate_synthetic_objects(oracle_params, design, seed=0)
+    k, total = design.curve_points, obj["total_steps"]
+    assert total < k // 2  # so that rounded steps collide
+    rounded = np.round(np.arange(1, k + 1) / k * total).astype(np.int64)
+    idx = np.arange(k)
+    # steps[j] = max(rounded[j], steps[j - 1] + 1) with steps[-1] = 0, in closed form
+    want = np.maximum.accumulate(np.maximum(rounded - idx, 1)) + idx
+    steps = [s for s, _ in obj["curve"]]
+    assert steps == want.tolist()
+    assert all(type(s) is int for s in steps)
+    assert all(type(v) is float for _, v in obj["curve"])
