@@ -23,6 +23,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 import zipfile
@@ -369,6 +370,9 @@ def _load_split_dir(path: str) -> DatasetSplits:
 def cmd_train(r) -> int:
     if r["method"] == "gbt" and r["target"] == "curve":
         raise ValueError("curve prediction needs the neural method")
+    if r["method"] == "gbt" and r["seed"] is not None:
+        raise ValueError("a seed applies to the neural method; the gbt forest makes "
+                         "no random draw")
     overrides = _read_object(r["plan"], "plan file") if r["plan"] else {}
     if r["method"] == "neural" and r["seed"] is not None:
         overrides["seed"] = r["seed"]
@@ -498,12 +502,17 @@ def cmd_eval(r) -> int:
             for row in reader:
                 if not row or row[0] == "peak_lr":
                     continue
+                where = f"{r['contour_from']}:{reader.line_num}"
                 try:
                     lr, bs, loss = map(float, row)
                 except ValueError:
-                    raise ValueError(f"{r['contour_from']}:{reader.line_num}: expected "
-                                     f"peak_lr, batch_size and loss as numbers, "
-                                     f"got {row!r}") from None
+                    raise ValueError(f"{where}: expected peak_lr, batch_size and loss "
+                                     f"as numbers, got {row!r}") from None
+                # the grid spans log lr and log bs, and a non-finite loss
+                # spreads through every cell of the interpolated surface
+                if not (0 < lr < math.inf and 0 < bs < math.inf and math.isfinite(loss)):
+                    raise ValueError(f"{where}: expected a positive finite peak_lr and "
+                                     f"batch_size and a finite loss, got {row!r}")
                 surface.append((lr, bs, loss))
         grid = export_contour_data(surface, resolution=r["resolution"])
         _write_csv(r["output"], ["peak_lr", "batch_size", "loss"], grid.rows())
@@ -581,7 +590,7 @@ COMMANDS = {
         ("plan", None, str, "JSON overrides for the training plan (neural) or GBT "
          "params. A stage override naming warmup_ratio or warmup_steps replaces "
          "the stage's default warmup; naming both is an error"),
-        ("seed", None, int, None),
+        ("seed", None, int, "the neural plan's seed; refused with --method gbt"),
     )),
     "predict": (cmd_predict, "predict final losses for configs", (
         ("model", REQUIRED, str, None), ("input", REQUIRED, str, None),

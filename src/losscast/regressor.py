@@ -22,14 +22,19 @@ input's gradient. Elementwise arithmetic and a field's own matmul give the
 same bits as over all fields at once, and batch sums keep batch order, so
 outputs, gradients and checkpoints are bit-identical to evaluating every row.
 A training step writes into buffers the model keeps from step to step, with
-every operation in its original order. An inference pass writes into its own,
-freed when it returns, holding little beyond the trunk input and one trunk
-layer. At an epoch's end, a validation pass with no more rows than a step runs
-in the step's buffers; a larger one runs in its own, after the step's are
-freed (the next step allocates them afresh). Either way training holds the
-step's working set or the validation pass's, never both. AdamW updates each
-parameter block a chunk of at most ``ADAMW_CHUNK`` elements at a time, in two
-chunk-sized scratch rows.
+every operation in its original order. It keeps only what backward reads: the
+trunk input and each trunk layer's output and GELU derivative, the latter
+computed in forward right after the layer's cdf. The layers' pre-activations
+and cdfs share two buffers, and backward forms each layer's activation gradient
+in the pre-activation's. A step's gradients are freed once AdamW has applied
+them. An inference pass writes into its own buffers, freed when it returns,
+holding the trunk input and two layer arrays: the pre-activation, and the cdf
+that the layer's output overwrites. At an epoch's end, a validation pass with
+no more rows than a step runs in the step's buffers; a larger one runs in its
+own, after the step's are freed (the next step allocates them afresh). Either
+way training holds the step's working set or the validation pass's, never
+both. AdamW updates each parameter block a chunk of at most ``ADAMW_CHUNK``
+elements at a time, in two chunk-sized scratch rows.
 
 Numerical slots are additionally standardized inside the model using training
 -set statistics (stored as buffers in the checkpoint); canonical scale factors
@@ -110,8 +115,9 @@ def _distinct_per_field(xs: np.ndarray):
 
 
 class _Scratch:
-    """Float64 work arrays by name (trunk input, trunk layers, one field's
-    (batch, hidden) blocks), each reused from call to call, grown to the
+    """Float64 work arrays by name (the trunk input and its gradient, the
+    shared pre-activation and cdf, each layer's output and GELU derivative, one
+    field's (batch, hidden) blocks), each reused from call to call, grown to the
     largest size asked of it and handed out as C-ordered views. The model's
     own instance serves its training steps and any validation pass with no
     more rows than a step; ``clear`` frees its arrays before a larger
@@ -303,11 +309,14 @@ class RegressorModel:
     def forward_batch(self, x_num, x_cat, want_cache: bool = False,
                       in_step_buffers: bool = False):
         """Predicted residuals of a batch. With ``want_cache``, also the cache
-        ``backward_batch`` reads; it holds the model's step buffers, so it is
-        valid until the model's next forward pass with ``want_cache`` or
-        ``in_step_buffers``. An inference pass works in buffers of its own,
-        freed when it returns; with ``in_step_buffers``, in the step's, which
-        it grows to its rows if it has more than a step."""
+        ``backward_batch`` reads: the trunk input and each layer's output and
+        GELU derivative, besides the encoder's per-value arrays. It holds the
+        model's step buffers, so it is valid until the model's next forward
+        pass with ``want_cache`` or ``in_step_buffers``. An inference pass
+        holds the trunk input, one pre-activation and one cdf, which each
+        layer's output overwrites; it works in buffers of its own, freed when
+        it returns, or with ``in_step_buffers`` in the step's, which it grows
+        to its rows if it has more than a step."""
         self._check_shapes(x_num, x_cat)
         p = self.params
         buf = self.buffers
@@ -336,29 +345,38 @@ class RegressorModel:
         for ix, key, cols in zip(x_cat.T, self.emb_keys, self.cat_cols):
             z[:, cols] = p[key].take(ix, axis=0)
 
-        pre_acts, cdfs, acts = [], [], [z]
+        # every layer's pre-activation and cdf share two buffers; a training
+        # pass keeps each layer's output and GELU derivative for backward, an
+        # inference pass writes each output over its cdf
+        acts, dgelus = [z], []
         for i in range(self.arch.trunk_layers):
             w = p[f"trunk_w{i}"]
-            tag = i if want_cache else 0    # inference keeps one layer at a time
-            a = np.matmul(acts[-1], w, out=work(f"pre{tag}", (b, w.shape[1])))
-            a += p[f"trunk_b{i}"]
-            cdf = norm_cdf(a, out=work(f"cdf{tag}", a.shape))
-            pre_acts.append(a)
-            cdfs.append(cdf)
-            acts.append(np.multiply(a, cdf, out=work(f"act{tag}", a.shape)))
+            pre = np.matmul(acts[-1], w, out=work("pre", (b, w.shape[1])))
+            pre += p[f"trunk_b{i}"]
+            cdf = norm_cdf(pre, out=work("cdf", pre.shape))
+            act = cdf
+            if want_cache:
+                # the output's buffer is gelu_grad's scratch until it is written
+                act = work(f"act{i}", pre.shape)
+                dgelus.append(gelu_grad(pre, cdf, out=work(f"dgelu{i}", pre.shape),
+                                        work=act))
+            acts.append(np.multiply(pre, cdf, out=act))
         out = (acts[-1] @ p["head_w"] + p["head_b"])[:, 0]
         if not want_cache:
             return out
         cache = {"xs": xs, "pre1": pre1, "cdf1": cdf1, "h": hidden, "index": index,
-                 "x_cat": x_cat, "pre_acts": pre_acts, "cdfs": cdfs, "acts": acts}
+                 "x_cat": x_cat, "acts": acts, "dgelus": dgelus}
         return out, cache
 
     def backward_batch(self, out, targets, cache, skip: set[str] = frozenset()):
         """Gradients of mean squared error over the batch.
 
         ``skip`` names parameter blocks whose gradients are not needed
-        (frozen); backpropagation still flows through them. The cache is
-        only read, so one cache can be differentiated more than once.
+        (frozen); backpropagation still flows through them. Each layer's
+        activation gradient is its output gradient times the GELU derivative
+        the forward pass cached, formed in the forward pass's pre-activation
+        buffer. The cache is only read, so one cache can be differentiated
+        more than once.
         """
         p = self.params
         work = self._scratch
@@ -366,18 +384,17 @@ class RegressorModel:
         grads: dict[str, np.ndarray] = {}
         dout = (2.0 / b) * (out - targets)
 
-        acts, pre_acts = cache["acts"], cache["pre_acts"]
+        acts, dgelus = cache["acts"], cache["dgelus"]
         if "head_w" not in skip:
             grads["head_w"] = acts[-1].T @ dout[:, None]
             grads["head_b"] = np.array([dout.sum()])
-        # each layer reads dz once, into da, so its own dz can take dz's place
+        # each layer reads dz once, into da, so its own dz can take dz's place;
+        # da takes the forward pass's pre-activation buffer, which the cache
+        # does not hold
         dz = np.matmul(dout[:, None], p["head_w"].T, out=work("dz", (b, p["head_w"].shape[0])))
         for i in reversed(range(self.arch.trunk_layers)):
             w = p[f"trunk_w{i}"]
-            da = work("da", pre_acts[i].shape)
-            dgelu = gelu_grad(pre_acts[i], cache["cdfs"][i], out=work("dgelu", da.shape),
-                              work=da)
-            np.multiply(dz, dgelu, out=da)
+            da = np.multiply(dz, dgelus[i], out=work("pre", dgelus[i].shape))
             if f"trunk_w{i}" not in skip:
                 grads[f"trunk_w{i}"] = acts[i].T @ da
                 grads[f"trunk_b{i}"] = da.sum(axis=0)
@@ -627,12 +644,15 @@ def _run_stage(
                 report.aborted = True
                 report.abort_reason = f"{exc} at {stage_name} epoch {epoch} step {t}"
                 return
+            # applied; freed now, so the next backward does not allocate
+            # beside them
+            del grads
             t += 1
         last_mse = sq_sum / n
         report.train_mse.append((stage_name, epoch, last_mse))
-        # the last cache holds views of the step's buffers; it, the last
-        # outputs and the gradients are dead now
-        del out, cache, grads
+        # the last cache holds views of the step's buffers; it and the last
+        # outputs are dead now
+        del out, cache
         if val is not None:
             vx_num, vx_cat, vy = val
             # a validation pass no larger than a step fits in the step's

@@ -162,8 +162,11 @@ def test_contour_export_from_sweep_surface(pipeline, tmp_path):
     assert rows[0] == ["peak_lr", "batch_size", "loss"]
 
 
-@pytest.mark.parametrize("row", ["0.001,256", "0.001,256,low", "0.001,256,2.5,1"],
-                         ids=["short", "not-a-number", "long"])
+@pytest.mark.parametrize("row", ["0.001,256", "0.001,256,low", "0.001,256,2.5,1",
+                                 "0.002,64,nan", "0.002,64,inf", "0,64,2.5",
+                                 "0.002,-64,2.5"],
+                         ids=["short", "not-a-number", "long", "nan-loss", "inf-loss",
+                              "zero-lr", "negative-bs"])
 def test_contour_export_names_the_row_it_refuses(pipeline, tmp_path, capsys, row):
     surface = tmp_path / "surface.csv"
     surface.write_text("peak_lr,batch_size,predicted_loss\n0.002,128,2.4\n" + row + "\n")
@@ -172,6 +175,15 @@ def test_contour_export_names_the_row_it_refuses(pipeline, tmp_path, capsys, row
     err = capsys.readouterr().err
     assert err.startswith("error [cli]: ") and f"{surface}:3: " in err
     assert not out.exists()
+
+
+def test_gbt_training_refuses_a_seed(pipeline, tmp_path, capsys):
+    out = tmp_path / "model.gbt"
+    assert main(["train", "--input", str(pipeline["splits"]), "--fits", str(pipeline["fits"]),
+                 "--output", str(out), "--method", "gbt", "--seed", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [cli]: ") and "neural method" in err
+    assert os.listdir(tmp_path) == []
 
 
 def resolved_record(output):

@@ -418,14 +418,10 @@ def test_an_inference_pass_holds_little_beyond_the_trunk_input():
     model = RegressorModel(schema, Arch(), seed=0)
     model.set_standardization(x_num)
     rows, arch = x_num.shape[0], model.arch
-    # the trunk input plus one layer's pre-activation, cdf and activation
-    floor = 8 * rows * (len(schema.specs) * arch.d_emb + 3 * arch.trunk_width)
-    tracemalloc.start()
-    try:
-        model.forward_batch(x_num, x_cat)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    # the trunk input plus one layer's pre-activation and the cdf that
+    # becomes its output
+    floor = 8 * rows * (len(schema.specs) * arch.d_emb + 2 * arch.trunk_width)
+    peak = traced_peak(lambda: model.forward_batch(x_num, x_cat))
     assert rows >= 2000
     assert floor <= peak <= 1.1 * floor, (peak, floor)
 
@@ -439,21 +435,73 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
+def curve_training_rows(schema, runs, seed):
+    """Rows of ``runs`` curve runs, 30 points each, and random targets."""
+    fracs = [k / 30 for k in range(1, 31)]
+    configs = [make_config(peak_lr=1e-3 * (1 + i % 6), model_size_n=130.0 + 5 * i + seed)
+               for i in range(runs)]
+    x_num, x_cat = encode_batch(schema, [c for c in configs for _ in fracs], fracs * runs)
+    return x_num, x_cat, np.random.default_rng(seed).normal(0, 0.1, x_num.shape[0])
+
+
+def test_a_training_step_holds_each_layers_output_and_derivative_only():
+    schema = Schema.default(include_frac=True)
+    x_num, x_cat, y = curve_training_rows(schema, 32, 0)
+    model = RegressorModel(schema, Arch(), seed=0)
+    model.set_standardization(x_num)
+    b, arch = x_num.shape[0], model.arch
+    d_in, w = len(schema.specs) * arch.d_emb, arch.trunk_width
+
+    def step():
+        out, cache = model.forward_batch(x_num, x_cat, want_cache=True)
+        model.backward_batch(out, y, cache)
+
+    # the trunk input and its gradient; each layer's output and GELU
+    # derivative, plus the shared pre-activation and cdf; one numerical
+    # field's three (batch, hidden) blocks; the gradients
+    floor = 8 * (2 * b * d_in + (2 * arch.trunk_layers + 2) * b * w
+                 + 3 * b * arch.d_hid + model.n_params())
+    peak = traced_peak(step)
+    assert b >= 900
+    assert floor <= peak <= 1.1 * floor, (peak, floor)
+
+
+def test_a_step_frees_its_gradients_before_the_next_backward():
+    schema = Schema.default(include_frac=True)
+    batch = 240
+    data = curve_training_rows(schema, 32, 0)
+    data = tuple(v[:4 * batch] for v in data)
+    plan = TrainPlan(stage1=StagePlan(epochs=0, peak_lr=1e-3),
+                     stage2=StagePlan(epochs=1, peak_lr=1e-3), batch_size=batch)
+
+    def fresh_model():
+        model = RegressorModel(schema, Arch(), seed=0)
+        model.set_standardization(data[0])
+        return model
+
+    model = fresh_model()
+
+    def step():
+        out, cache = model.forward_batch(data[0][:batch], data[1][:batch], want_cache=True)
+        model.backward_batch(out, data[2][:batch], cache)
+
+    one_step = traced_peak(step)
+    model = fresh_model()
+    stage = traced_peak(lambda: _run_stage(
+        model, plan.stage2, plan, list(model.params), data, np.random.default_rng(1),
+        TrainReport(), "stage2"))
+    # AdamW's moments and scratch live beside every step after the first
+    state = 8 * (2 * model.n_params() + 2 * ADAMW_CHUNK)
+    assert one_step + state <= stage <= 1.05 * (one_step + state), (stage, one_step, state)
+
+
 @pytest.mark.parametrize("val_runs, batch", [(40, 200), (20, 600)],
                          ids=["validation-larger-than-a-step", "validation-within-a-step"])
 def test_training_holds_the_step_or_the_validation_pass_never_both(val_runs, batch):
     # curve rows of 20 training runs (600 rows) and of the validation runs
     schema = Schema.default(include_frac=True)
-    fracs = [k / 30 for k in range(1, 31)]
-
-    def curve_rows(runs, seed):
-        configs = [make_config(peak_lr=1e-3 * (1 + i % 6), model_size_n=130.0 + 5 * i + seed)
-                   for i in range(runs)]
-        x_num, x_cat = encode_batch(schema, [c for c in configs for _ in fracs],
-                                    fracs * runs)
-        return x_num, x_cat, np.random.default_rng(seed).normal(0, 0.1, x_num.shape[0])
-
-    data, val = curve_rows(20, 0), curve_rows(val_runs, 1)
+    data = curve_training_rows(schema, 20, 0)
+    val = curve_training_rows(schema, val_runs, 1)
     plan = TrainPlan(stage1=StagePlan(epochs=0, peak_lr=1e-3),
                      stage2=StagePlan(epochs=2, peak_lr=1e-3), batch_size=batch)
 
