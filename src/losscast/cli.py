@@ -376,11 +376,14 @@ def cmd_train(r) -> int:
     overrides = _read_object(r["plan"], "plan file") if r["plan"] else {}
     if r["method"] == "neural" and r["seed"] is not None:
         overrides["seed"] = r["seed"]
+    # the plan is checked before the split is read, so a refusal names its file
     try:
         if r["method"] == "gbt":
             params = GBTParams(**_known_keys(overrides, GBTParams, "the plan"))
+            params.validate()
         else:
             plan = _plan_from_overrides(r["target"], overrides)
+            plan.validate()
     except ValueError as exc:
         raise ValueError(f"plan file {r['plan']}: {exc}") from None
 

@@ -151,30 +151,47 @@ def _lookup(obj: dict, canonical: str):
     return None
 
 
+def _number(name: str, value) -> float:
+    """``value`` as a float; SchemaError naming the field when it is not a number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise SchemaError(f"field '{name}' must be a number, got {value!r}") from None
+
+
 def config_from_obj(obj: dict) -> RunConfig:
+    """A validated RunConfig from a log object; SchemaError naming the field
+    for a missing field or a value of the wrong type."""
     def num(name, default=None):
         v = _lookup(obj, name)
-        return default if v is None else float(v)
+        return default if v is None else _number(name, v)
 
     warmup, warmup_is_ratio = 0.0, True
     if obj.get("warmup_ratio") is not None:
-        warmup = float(obj["warmup_ratio"])
+        warmup = _number("warmup_ratio", obj["warmup_ratio"])
     elif obj.get("warmup_steps") is not None:
-        warmup, warmup_is_ratio = float(obj["warmup_steps"]), False
+        warmup, warmup_is_ratio = _number("warmup_steps", obj["warmup_steps"]), False
     elif obj.get("warmup") is not None:
         # bare "warmup" means steps when > 1, ratio otherwise
-        warmup = float(obj["warmup"])
+        warmup = _number("warmup", obj["warmup"])
         warmup_is_ratio = warmup <= 1.0
 
     beta1, beta2 = _lookup(obj, "beta1"), _lookup(obj, "beta2")
     if beta1 is None and obj.get("betas") is not None:
-        beta1, beta2 = obj["betas"]
+        betas = obj["betas"]
+        if not (isinstance(betas, list) and len(betas) == 2):
+            raise SchemaError(f"field 'betas' must be a pair of numbers, got {betas!r}")
+        beta1, beta2 = betas
 
     epsilon = None
     if obj.get("epsilon") is not None:
-        eps = float(obj["epsilon"])
+        eps = _number("epsilon", obj["epsilon"])
         # raw stability constants are tiny; logged neg-log values are >= 0.5
         epsilon = RunConfig.epsilon_from_raw(eps) if 0 < eps < 0.5 else eps
+
+    extras = obj.get("optimizer_extras")
+    if extras is not None and not isinstance(extras, dict):
+        raise SchemaError(f"field 'optimizer_extras' must be a JSON object, got {extras!r}")
 
     required = {}
     for name in ("model_size_n", "data_size_d", "total_steps", "peak_lr", "batch_size"):
@@ -199,10 +216,10 @@ def config_from_obj(obj: dict) -> RunConfig:
         warmup=warmup,
         warmup_is_ratio=warmup_is_ratio,
         max_grad_norm=num("max_grad_norm", 0.0),
-        beta1=None if beta1 is None else float(beta1),
-        beta2=None if beta2 is None else float(beta2),
+        beta1=None if beta1 is None else _number("beta1", beta1),
+        beta2=None if beta2 is None else _number("beta2", beta2),
         epsilon=epsilon,
-        optimizer_extras=dict(obj.get("optimizer_extras") or {}),
+        optimizer_extras=dict(extras or {}),
         **required,
     )
     cfg.validate()

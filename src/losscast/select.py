@@ -3,11 +3,16 @@ quadratic refinement of the (learning rate, batch size) optimum in log space.
 
 The sweep enumerates a cross-product grid of candidate values, predicts the
 final loss for every valid derived configuration in one batch call, and sorts
-ascending. The near-optimal points (within 1% of the minimum) then feed a
-least-squares quadratic in (log lr, log bs); if the quadratic is positive
-definite and its analytic vertex lies inside the swept box, the vertex is the
-refined optimum, re-queried from the predictor and kept only when it does not
-regress past 1% of the grid minimum.
+ascending. Only the points whose derived configuration does not validate are
+skipped, each with its reason; when none is left, the SweepError names the
+first. A predictor that refuses the batch refuses the sweep with its own error.
+Every grid axis and pinned field must name a ``RunConfig`` field.
+
+The near-optimal points (within 1% of the minimum) then feed a least-squares
+quadratic in (log lr, log bs); if the quadratic is positive definite and its
+analytic vertex lies inside the swept box, the vertex is the refined optimum,
+re-queried from the predictor and kept only when it does not regress past 1%
+of the grid minimum.
 """
 
 from __future__ import annotations
@@ -25,6 +30,13 @@ from .schema import RunConfig, SchemaError
 NEAR_OPT_FRAC = 0.01
 REFINE_SAFETY_FRAC = 0.01
 MIN_QUAD_POINTS = 6
+_CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(RunConfig))
+
+
+def _check_field(name: str) -> None:
+    if name not in _CONFIG_FIELDS:
+        raise SchemaError(f"unknown config field '{name}'; a RunConfig has "
+                          + ", ".join(_CONFIG_FIELDS))
 
 
 @dataclass
@@ -39,6 +51,7 @@ class SweepGrid:
         if len(set(names)) != len(names):
             raise ValueError("grid axes must name distinct fields")
         for name, values in self.axes:
+            _check_field(name)
             if len(values) == 0:
                 raise ValueError(f"axis '{name}' is empty")
 
@@ -53,6 +66,7 @@ class SweepGrid:
 
     def fix(self, name: str, value) -> "SweepGrid":
         """Remove an axis and pin its field on the base config."""
+        _check_field(name)
         axes = [(n, v) for n, v in self.axes if n != name]
         base = dataclasses.replace(self.base_config, **{name: value})
         return SweepGrid(axes=axes, base_config=base)
@@ -105,41 +119,22 @@ def _derive_config(base: RunConfig, assignment: dict) -> RunConfig:
 
 
 def sweep(predictor, grid: SweepGrid) -> SweepResult:
-    """Exhaustively evaluate the grid in one batch prediction; invalid points
-    are recorded and skipped."""
+    """Exhaustively evaluate the grid in one batch prediction. Points whose
+    derived config does not validate are recorded in ``skipped`` and left out;
+    an error the predictor raises for the batch is raised unchanged."""
     derived, skipped = [], []
     for i, assignment in grid.points():
         try:
             derived.append((i, _derive_config(grid.base_config, assignment)))
         except (SchemaError, ValueError) as exc:
             skipped.append((i, str(exc)))
-    losses = _predict_points(predictor, derived, skipped) if derived else []
-    entries = [(cfg, loss, i) for (i, cfg), loss in zip(derived, losses)
-               if loss is not None]
-    if not entries:
-        raise SweepError(f"all {grid.size()} grid points invalid")
+    if not derived:
+        i, reason = skipped[0]
+        raise SweepError(f"all {grid.size()} grid points invalid; first: point {i}: {reason}")
+    losses = predictor.predict_final_loss_batch([cfg for _, cfg in derived])
+    entries = [(cfg, float(loss), i) for (i, cfg), loss in zip(derived, losses)]
     entries.sort(key=lambda e: (e[1], e[2]))
     return SweepResult(entries=entries, skipped=skipped, grid=grid)
-
-
-def _predict_points(predictor, derived: list, skipped: list) -> list:
-    """Predicted loss per (grid_index, config), in one batch call. Should the
-    predictor reject the batch, the points are scored one at a time so that
-    only the rejected ones are recorded in ``skipped`` (None in the result)."""
-    try:
-        return [float(v) for v in predictor.predict_final_loss_batch(
-            [cfg for _, cfg in derived])]
-    except (SchemaError, ValueError):
-        pass
-    losses = []
-    for i, cfg in derived:
-        try:
-            losses.append(float(predictor.predict_final_loss_batch([cfg])[0]))
-        except (SchemaError, ValueError) as exc:
-            skipped.append((i, str(exc)))
-            losses.append(None)
-    skipped.sort(key=lambda s: s[0])
-    return losses
 
 
 @dataclass

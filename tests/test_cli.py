@@ -13,7 +13,13 @@ import pytest
 
 from losscast.cli import _plan_from_overrides, _resolve, build_parser, load_predictor, main
 from losscast.gbt import GBTPredictor
-from losscast.lawfit import ChinchillaFit, ChinchillaPredictor, Scope, save_fits
+from losscast.lawfit import (
+    ChinchillaFit,
+    ChinchillaPredictor,
+    Scope,
+    predict_chinchilla,
+    save_fits,
+)
 from losscast.regressor import (
     Arch,
     RegressorModel,
@@ -331,6 +337,58 @@ def test_sweep_fix_pins_a_field(pipeline, tmp_path):
     assert all(float(r[1]) == 128.0 for r in rows)
 
 
+@pytest.mark.parametrize("argv, tag, cause", [
+    (["--fix", "optimizer=zzz"], "schema",
+     "unknown value 'zzz' for categorical field 'optimizer'\n"),
+    (["--n", "0"], "select", "field 'model_size_n' must be positive"),
+    (["--fix", "nosuch=3"], "schema", "unknown config field 'nosuch'"),
+], ids=["unknown-category", "zero-n", "unknown-field"])
+def test_a_refused_sweep_names_its_cause(pipeline, tmp_path, capsys, argv, tag, cause):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--model", str(pipeline["model"]), "--base", str(pipeline["base"]),
+                 "--output", str(out), "--lr-points", "5", "--bs-points", "3", *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error [{tag}]: ") and cause in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method, plan, fault", [
+    ("neural", {"batch_size": 0}, "batch_size must be >= 1"),
+    ("neural", {"stage2": {"epochs": -1}}, "epochs must be >= 0"),
+    ("gbt", {"rounds": -1}, "rounds must be >= 0"),
+], ids=["batch-size", "stage-epochs", "gbt-rounds"])
+def test_train_refuses_an_invalid_plan_before_it_reads_the_split(tmp_path, capsys, method,
+                                                                 plan, fault):
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan))
+    # neither the split nor the fits exist: the plan alone is read
+    assert main(["train", "--input", str(tmp_path / "split"), "--fits", str(tmp_path / "fits"),
+                 "--output", str(tmp_path / "model"), "--method", method,
+                 "--plan", str(path)]) == 1
+    assert capsys.readouterr().err == f"error [cli]: plan file {path}: {fault}\n"
+    assert os.listdir(tmp_path) == ["plan.json"]
+
+
+def test_a_per_optimizer_fit_predicts_each_optimizer_from_its_own_file(pipeline, tmp_path):
+    fits, preds = tmp_path / "fits", tmp_path / "preds.jsonl"
+    queries = pipeline["splits"] / "id_val.jsonl"
+    assert main(["fit", "--input", str(pipeline["splits"] / "train.jsonl"),
+                 "--output", str(fits), "--per-optimizer"]) == 0
+    assert main(["predict", "--model", str(fits), "--input", str(queries),
+                 "--output", str(preds)]) == 0
+    own = {}
+    for path in fits.glob("chinchilla_*.json"):
+        fit = ChinchillaFit.from_dict(json.loads(path.read_text()))
+        own[(fit.scope.source, fit.scope.optimizer)] = fit
+    configs = [config_from_obj(o) for o in read_jsonl(queries)]
+    assert len({c.optimizer for c in configs}) > 1
+    assert len({(f.e, f.a, f.b) for f in own.values()}) == len(own)
+    want = [float(predict_chinchilla(own[(c.source, c.optimizer)], c.model_size_n,
+                                     c.data_size_d)) for c in configs]
+    got = [p["predicted_final_loss"] for p in read_jsonl(preds)]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
 # -- schema / errors -------------------------------------------------------------
 
 def test_schema_dumps_the_feature_table(capsys):
@@ -399,6 +457,59 @@ def test_pipeline_errors_carry_the_failing_module(tmp_path, capsys):
     assert main(["ingest", "--input", str(bad),
                  "--output", str(tmp_path / "out")]) == 1
     assert "error [ingest]:" in capsys.readouterr().err
+
+
+def written(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+# each case: (argv from the pipeline and an empty directory, the refusal); an
+# output is always the directory's "out"
+CLI_REFUSALS = {
+    "fix-without-equals": (lambda p, t: [
+        "sweep", "--model", str(p["model"]), "--base", str(p["base"]), "--output", str(t / "out"),
+        "--fix", "batch_size"], "--fix expects FIELD=VALUE, got 'batch_size'"),
+    "unrecognized-model": (lambda p, t: [
+        "predict", "--model", str(p["base"]), "--input", str(p["base"]),
+        "--output", str(t / "out")], "unrecognized model file: "),
+    "no-train-records": (lambda p, t: [
+        "train", "--input", str(p["root"]), "--fits", str(p["fits"]), "--output", str(t / "out")],
+        "no train.jsonl records under "),
+    "gbt-curve": (lambda p, t: [
+        "train", "--input", str(p["splits"]), "--fits", str(p["fits"]), "--output", str(t / "out"),
+        "--method", "gbt", "--target", "curve"], "curve prediction needs the neural method"),
+    "curve-on-gbt": (lambda p, t: [
+        "curve", "--model", str(p["model"]), "--input", str(p["base"]),
+        "--output", str(t / "out")], "model does not support curve prediction"),
+    "curve-on-fits": (lambda p, t: [
+        "curve", "--model", str(p["fits"]), "--input", str(p["base"]),
+        "--output", str(t / "out")], "model does not support curve prediction"),
+    "no-loss-field": (lambda p, t: [
+        "eval", "--pred", written(t / "pred.jsonl", '{"run_id": "a"}\n'),
+        "--truth", str(p["preds"]), "--output", str(t / "out")], "pred.jsonl:1: no loss field"),
+    "contour-without-output": (lambda p, t: [
+        "eval", "--contour-from", str(p["sweep"] / "surface.csv")],
+        "contour export requires --output"),
+    "run-ids-missing-from-truth": (lambda p, t: [
+        "eval", "--pred", str(p["preds"]),
+        "--truth", written(t / "truth.jsonl", '{"run_id": "a", "final_loss": 2.0}\n'),
+        "--output", str(t / "out")], " run_ids missing from truth (first: "),
+    "eval-without-a-mode": (lambda p, t: [
+        "eval", "--model", str(p["model"]), "--output", str(t / "out")],
+        "eval needs --model/--input, --pred/--truth, or --contour-from"),
+}
+
+
+@pytest.mark.parametrize("case", list(CLI_REFUSALS))
+def test_the_cli_refuses_what_it_cannot_run(pipeline, tmp_path, capsys, case):
+    argv, refusal = CLI_REFUSALS[case]
+    argv = argv(pipeline, tmp_path)
+    inputs = sorted(os.listdir(tmp_path))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [cli]: ") and refusal in err
+    assert sorted(os.listdir(tmp_path)) == inputs
 
 
 def test_config_file_presets_flags_but_explicit_flags_win(tmp_path):
@@ -805,6 +916,30 @@ def test_a_refused_config_line_is_located(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"error [schema]: {configs}:2: ") and "'model_size_n'" in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value, fault", [
+    ("peak_lr", "abc", "field 'peak_lr' must be a number, got 'abc'"),
+    ("warmup_ratio", [0.1], "field 'warmup_ratio' must be a number, got [0.1]"),
+    ("optimizer_extras", [1, 2], "field 'optimizer_extras' must be a JSON object, got [1, 2]"),
+    ("betas", [0.9], "field 'betas' must be a pair of numbers, got [0.9]"),
+    ("betas", [0.9, "x"], "field 'beta2' must be a number, got 'x'"),
+], ids=["unparsed-number", "list-for-a-number", "extras-not-an-object", "betas-not-a-pair",
+        "beta-not-a-number"])
+def test_a_config_value_of_the_wrong_type_is_named_with_its_line(tmp_path, capsys, field,
+                                                                 value, fault):
+    fits = tmp_path / "fits"
+    save_fits([ChinchillaFit(e=1.5, a=2.0, b=1.0, alpha=0.3, beta=0.3, scope=Scope("lab"))],
+              fits)
+    good = {"source": "lab", "model_size_n": 100.0, "data_size_d": 10.0, "total_steps": 1000,
+            "optimizer": "adamw", "peak_lr": 1e-3, "batch_size": 256}
+    configs = tmp_path / "configs.jsonl"
+    configs.write_text(json.dumps(good) + "\n" + json.dumps({**good, field: value}) + "\n")
+    out = tmp_path / "preds.jsonl"
+    assert main(["predict", "--model", str(fits), "--input", str(configs),
+                 "--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"error [schema]: {configs}:2: {fault}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag, method, settings, key", [

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from losscast.errors import SweepError
+from losscast.errors import SchemaError, SweepError
 from losscast.select import (
     RefinedPoint,
     SweepGrid,
@@ -72,7 +72,7 @@ def test_sweep_skips_invalid_points_and_records_them():
 
 def test_sweep_all_invalid_raises():
     grid = SweepGrid(axes=[("peak_lr", [-1.0, -2.0])], base_config=make_config())
-    with pytest.raises(SweepError):
+    with pytest.raises(SweepError, match="first: point 0: field 'peak_lr' must be positive"):
         sweep(QuadraticPredictor(), grid)
 
 
@@ -237,16 +237,26 @@ def test_recommend_predicts_at_most_twice():
     assert pred.batch_calls == [13]
 
 
-def test_points_the_predictor_rejects_are_skipped_in_grid_order():
-    class RejectsOneLr(QuadraticPredictor):
+def test_a_predictor_refusal_refuses_the_sweep_in_one_call():
+    class RejectsOneLr(CountingPredictor):
         def predict_final_loss_batch(self, configs):
+            losses = super().predict_final_loss_batch(configs)
             if any(c.peak_lr == 2e-3 for c in configs):
                 raise ValueError("cannot score lr 2e-3")
-            return super().predict_final_loss_batch(configs)
+            return losses
 
+    pred = RejectsOneLr()
     grid = SweepGrid(axes=[("peak_lr", [1e-3, 2e-3, -5.0, 4e-3])],
                      base_config=make_config())
-    result = sweep(RejectsOneLr(), grid)
-    assert [i for i, _ in result.skipped] == [1, 2]
-    assert "cannot score" in result.skipped[0][1]
-    assert sorted(i for _, _, i in result.entries) == [0, 3]
+    with pytest.raises(ValueError, match="cannot score lr 2e-3"):
+        sweep(pred, grid)
+    assert pred.batch_calls == [3]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SweepGrid(axes=[("nosuch", [1.0])], base_config=make_config()),
+    lambda: lr_bs_grid().fix("nosuch", 3),
+], ids=["axis", "fix"])
+def test_a_grid_refuses_a_field_a_config_does_not_have(make):
+    with pytest.raises(SchemaError, match="unknown config field 'nosuch'"):
+        make()
