@@ -210,17 +210,19 @@ def _write_csv(path: str, header, rows) -> None:
         w.writerows([repr(v) for v in row] for row in rows)
 
 
-def _read_config_lines(path: str):
-    """Yields (run_id, RunConfig) from a line-delimited config/run file; a
-    refused line is named by path:line."""
+def _read_config_lines(path: str) -> tuple[list[str], list]:
+    """The run_ids and RunConfigs of a line-delimited config/run file, in line
+    order; a refused line is named by path:line."""
+    run_ids, configs = [], []
     for lineno, obj in _read_lines(path):
         if not isinstance(obj, dict):
             raise ValueError(f"{path}:{lineno}: not a JSON object")
         try:
-            config = config_from_obj(obj)
+            configs.append(config_from_obj(obj))
         except SchemaError as exc:
             raise SchemaError(f"{path}:{lineno}: {exc}") from None
-        yield str(obj.get("run_id") or f"line{lineno}"), config
+        run_ids.append(str(obj.get("run_id") or f"line{lineno}"))
+    return run_ids, configs
 
 
 def load_predictor(path: str):
@@ -411,10 +413,7 @@ def cmd_train(r) -> int:
 
 def cmd_predict(r) -> int:
     predictor = load_predictor(r["model"])
-    run_ids, configs = [], []
-    for run_id, cfg in _read_config_lines(r["input"]):
-        run_ids.append(run_id)
-        configs.append(cfg)
+    run_ids, configs = _read_config_lines(r["input"])
     losses = predictor.predict_final_loss_batch(configs)
     n = _write_jsonl(r["output"], (
         {"run_id": run_id, "predicted_final_loss": float(loss)}
@@ -431,13 +430,11 @@ def cmd_curve(r) -> int:
     predictor = load_predictor(r["model"])
     if not hasattr(predictor, "predict_curve"):
         raise ValueError("model does not support curve prediction")
-    fracs = np.arange(1, k + 1) / k
-    rows = []
-    for run_id, cfg in _read_config_lines(r["input"]):
-        curve = predictor.predict_curve(cfg, fracs)
-        rows.append({"run_id": run_id,
-                     "curve": [[int(s), float(l)] for s, l in curve]})
-    n = _write_jsonl(r["output"], rows)
+    run_ids, configs = _read_config_lines(r["input"])
+    curves = predictor.predict_curve(configs, np.arange(1, k + 1) / k)
+    n = _write_jsonl(r["output"], (
+        {"run_id": run_id, "curve": [[int(s), float(l)] for s, l in curve]}
+        for run_id, curve in zip(run_ids, curves)))
     _write_resolved(r["output"], "curve", r)
     print(f"predicted {n} curves ({k} points each) -> {r['output']}")
     return 0

@@ -31,7 +31,7 @@ from .errors import SchemaError
 from .features import design_column_names, encode_batch, one_hot_matrix
 from .ingest import DatasetSplits
 from .lawfit import ChinchillaPredictor
-from .regressor import build_training_rows, training_schema
+from .regressor import build_training_rows, check_types, training_schema
 from .schema import RunConfig, Schema, read_saved
 
 
@@ -43,6 +43,7 @@ class GBTParams:
     min_leaf: int = 5
 
     def validate(self):
+        check_types(self)
         if self.rounds < 0:
             raise ValueError("rounds must be >= 0")
         if self.max_depth < 1:

@@ -36,6 +36,16 @@ way training holds the step's working set or the validation pass's, never
 both. AdamW updates each parameter block a chunk of at most ``ADAMW_CHUNK``
 elements at a time, in two chunk-sized scratch rows.
 
+A prediction is a function of its config alone. OpenBLAS rounds a matmul by its
+row count: a pass of a few rows takes other kernels than a larger one, and the
+head's matrix-vector product rounds otherwise at a row count that is not a
+multiple of 4. So every prediction pass (``TrainedPredictor._residuals``) is
+padded with copies of its first row to a multiple of ``PAD_ROWS`` rows, and
+the copies' outputs are dropped; a config then gets the same bits alone, in
+any batch or in a whole file. Training and validation passes are not padded:
+their row counts are fixed by the plan and the split, and the validation MAE
+goes into the checkpoint manifest, so checkpoints keep the bytes they had.
+
 Numerical slots are additionally standardized inside the model using training
 -set statistics (stored as buffers in the checkpoint); canonical scale factors
 alone leave fields on wildly different ranges, which stalls first-order
@@ -54,6 +64,7 @@ import dataclasses
 import io
 import json
 import math
+import numbers
 import zipfile
 from dataclasses import dataclass, field
 
@@ -68,6 +79,8 @@ from .schema import NUMERICAL, RunConfig, Schema, SchemaError, read_saved
 
 CHECKPOINT_FORMAT = "losscast-checkpoint-2"
 MAX_CURVE_CHECKPOINTS = 30
+# a prediction pass has a multiple of this many rows, padded if need be
+PAD_ROWS = 8
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -145,6 +158,22 @@ class Arch:
     trunk_width: int = 256
 
 
+def check_types(plan) -> None:
+    """ValueError naming the first field of the dataclass ``plan`` whose value
+    has the wrong type: an ``int`` field takes an integer, a ``float`` field an
+    integer or a float, neither a bool, and a field that may be None also
+    takes None."""
+    for f in dataclasses.fields(plan):
+        kind, _, optional = f.type.partition(" | ")
+        value = getattr(plan, f.name)
+        if kind not in ("int", "float") or optional and value is None:
+            continue
+        want = numbers.Integral if kind == "int" else numbers.Real
+        if not isinstance(value, want) or isinstance(value, bool):
+            text = "an integer" if kind == "int" else "a number"
+            raise ValueError(f"{f.name} must be {text}, got {value!r}")
+
+
 @dataclass
 class StagePlan:
     epochs: int
@@ -153,6 +182,7 @@ class StagePlan:
     warmup_steps: int | None = None
 
     def validate(self):
+        check_types(self)
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if not self.peak_lr > 0:
@@ -201,6 +231,7 @@ class TrainPlan:
         )
 
     def validate(self):
+        check_types(self)
         self.stage1.validate()
         self.stage2.validate()
         if self.batch_size < 1:
@@ -725,9 +756,15 @@ class TrainedPredictor:
         self.report = report
 
     def _residuals(self, configs: list[RunConfig], fracs: list | None = None) -> np.ndarray:
-        """One forward pass over every (config, frac) row."""
+        """One forward pass over every (config, frac) row, padded with copies
+        of the first row to a multiple of ``PAD_ROWS`` rows; the copies'
+        outputs are dropped."""
         x_num, x_cat = encode_batch(self.model.schema, configs, fracs)
-        return self.model.forward_batch(x_num, x_cat)
+        n = x_num.shape[0]
+        rows = np.zeros(n + -n % PAD_ROWS, dtype=np.intp)
+        rows[:n] = np.arange(n)
+        return self.model.forward_batch(x_num.take(rows, axis=0),
+                                        x_cat.take(rows, axis=0))[:n]
 
     def predict_final_loss(self, config: RunConfig) -> float:
         return float(self.predict_final_loss_batch([config])[0])
@@ -735,15 +772,18 @@ class TrainedPredictor:
     def predict_final_loss_batch(self, configs: list[RunConfig]) -> np.ndarray:
         return self.baseline.predict_final_loss_batch(configs) + self._residuals(configs)
 
-    def predict_curve(self, config: RunConfig, fracs) -> list[tuple[int, float]]:
+    def predict_curve(self, configs: list[RunConfig],
+                      fracs) -> list[list[tuple[int, float]]]:
+        """Each config's (step, loss) points at the training-progress ratios
+        ``fracs``, from one forward pass over every (config, frac) row."""
         if not self.model.schema.include_frac:
             raise ValueError("model was not trained for curve prediction")
         fracs = [float(f) for f in fracs]
-        res = self._residuals([config] * len(fracs), fracs)
-        base = self.baseline.predict_final_loss_batch([config])[0]
+        res = self._residuals([c for c in configs for _ in fracs], fracs * len(configs))
+        bases = self.baseline.predict_final_loss_batch(configs)
         return [
-            (int(round(f * config.total_steps)), float(base + r))
-            for f, r in zip(fracs, res)
+            [(int(round(f * c.total_steps)), float(base + r)) for f, r in zip(fracs, row)]
+            for c, base, row in zip(configs, bases, res.reshape(len(configs), len(fracs)))
         ]
 
     # -- checkpointing --------------------------------------------------------

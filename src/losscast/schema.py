@@ -20,6 +20,8 @@ import dataclasses
 import hashlib
 import json
 import math
+import numbers
+import operator
 import zlib
 from dataclasses import dataclass, field
 
@@ -88,6 +90,14 @@ class RunConfig:
             raise SchemaError("missing required field 'source'")
         if not self.optimizer:
             raise SchemaError("missing required field 'optimizer'")
+        # the common case, every number a plain int or float, in two C-level scans
+        if not (_PLAIN.issuperset(map(type, _required_numbers(self)))
+                and _PLAIN_OR_NONE.issuperset(map(type, _optional_numbers(self)))):
+            for name, optional in _NUMBER_FIELDS:
+                value = getattr(self, name)
+                if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                        or optional and value is None):
+                    raise SchemaError(f"field '{name}' must be a number, got {value!r}")
         for name in ("model_size_n", "data_size_d", "total_steps"):
             if not getattr(self, name) > 0:
                 raise SchemaError(f"field '{name}' must be positive")
@@ -166,6 +176,16 @@ class RunConfig:
         if eps <= 0:
             raise SchemaError("raw epsilon must be positive")
         return -math.log10(eps)
+
+
+#: (name, may be None) of each RunConfig field that holds a number
+_NUMBER_FIELDS = tuple((f.name, f.type == "float | None")
+                       for f in dataclasses.fields(RunConfig)
+                       if f.type in ("float", "float | None"))
+_required_numbers = operator.attrgetter(*(n for n, optional in _NUMBER_FIELDS if not optional))
+_optional_numbers = operator.attrgetter(*(n for n, optional in _NUMBER_FIELDS if optional))
+_PLAIN = frozenset((int, float))
+_PLAIN_OR_NONE = _PLAIN | {type(None)}
 
 
 @dataclass(frozen=True)

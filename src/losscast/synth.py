@@ -291,9 +291,10 @@ class OraclePredictor:
         # a plain loop over the closed form: this is the reference
         return np.array([oracle_loss(self.params, c) for c in configs], dtype=np.float64)
 
-    def predict_curve(self, config: RunConfig, fracs):
-        losses = oracle_curve(self.params, config, fracs)
+    def predict_curve(self, configs: list[RunConfig], fracs):
+        fracs = np.asarray(fracs, dtype=np.float64)
         return [
-            (int(round(f * config.total_steps)), float(v))
-            for f, v in zip(np.asarray(fracs, dtype=np.float64), losses)
+            [(int(round(f * c.total_steps)), float(v))
+             for f, v in zip(fracs, oracle_curve(self.params, c, fracs))]
+            for c in configs
         ]

@@ -313,7 +313,7 @@ def curve_errors(predictor, records):
         k = min(MAX_CURVE_CHECKPOINTS, len(r.smoothed))
         idx = np.unique(np.round(np.linspace(0, len(r.smoothed) - 1, k)).astype(int))
         fracs = np.clip(r.steps[idx] / r.config.total_steps, 1e-9, 1.0)
-        pred = np.array([l for _, l in predictor.predict_curve(r.config, fracs)])
+        pred = np.array([l for _, l in predictor.predict_curve([r.config], fracs)[0]])
         worst = max(worst, float(np.max(np.abs(pred - r.smoothed[idx]))))
     return worst
 

@@ -321,8 +321,7 @@ def test_predict_file_matches_per_config_predictions(pipeline, tmp_path):
                  "--fits", str(pipeline["fits"]), "--output", str(neural),
                  "--plan", str(plan)]) == 0
     got, want = predict_file_against_per_config(neural, queries, tmp_path / "n.jsonl")
-    # a one-row and an n-row matmul may round differently
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    np.testing.assert_array_equal(got, want)
 
 
 def test_sweep_fix_pins_a_field(pipeline, tmp_path):
@@ -342,7 +341,11 @@ def test_sweep_fix_pins_a_field(pipeline, tmp_path):
      "unknown value 'zzz' for categorical field 'optimizer'\n"),
     (["--n", "0"], "select", "field 'model_size_n' must be positive"),
     (["--fix", "nosuch=3"], "schema", "unknown config field 'nosuch'"),
-], ids=["unknown-category", "zero-n", "unknown-field"])
+    (["--fix", "peak_lr=abc"], "select", "field 'peak_lr' must be a number, got 'abc'\n"),
+    (["--fix", "warmup=abc"], "select", "field 'warmup' must be a number, got 'abc'\n"),
+    (["--fix", "batch_size=true"], "select", "field 'batch_size' must be a number, got True\n"),
+], ids=["unknown-category", "zero-n", "unknown-field", "string-lr", "string-warmup",
+        "bool-batch-size"])
 def test_a_refused_sweep_names_its_cause(pipeline, tmp_path, capsys, argv, tag, cause):
     out = tmp_path / "sweep"
     assert main(["sweep", "--model", str(pipeline["model"]), "--base", str(pipeline["base"]),
@@ -356,7 +359,14 @@ def test_a_refused_sweep_names_its_cause(pipeline, tmp_path, capsys, argv, tag, 
     ("neural", {"batch_size": 0}, "batch_size must be >= 1"),
     ("neural", {"stage2": {"epochs": -1}}, "epochs must be >= 0"),
     ("gbt", {"rounds": -1}, "rounds must be >= 0"),
-], ids=["batch-size", "stage-epochs", "gbt-rounds"])
+    ("gbt", {"rounds": "abc"}, "rounds must be an integer, got 'abc'"),
+    ("gbt", {"max_depth": 2.5, "rounds": 1}, "max_depth must be an integer, got 2.5"),
+    ("neural", {"batch_size": "abc"}, "batch_size must be an integer, got 'abc'"),
+    ("neural", {"batch_size": True}, "batch_size must be an integer, got True"),
+    ("neural", {"stage1": {"epochs": "2"}}, "epochs must be an integer, got '2'"),
+    ("neural", {"stage1": {"epochs": 2.5}}, "epochs must be an integer, got 2.5"),
+], ids=["batch-size", "stage-epochs", "gbt-rounds", "gbt-string-rounds", "gbt-float-depth",
+        "string-batch-size", "bool-batch-size", "string-epochs", "float-epochs"])
 def test_train_refuses_an_invalid_plan_before_it_reads_the_split(tmp_path, capsys, method,
                                                                  plan, fault):
     path = tmp_path / "plan.json"

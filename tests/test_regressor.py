@@ -902,7 +902,7 @@ def test_checkpoint_rejects_missing_or_misshapen_buffers(tmp_path):
     for k, v in predictor.model.buffers.items():
         np.testing.assert_array_equal(loaded.model.buffers[k], v)
     rewrite_checkpoint(curve_path, same, lambda manifest, entries: None)
-    assert len(TrainedPredictor.load(same).predict_curve(make_config(), [0.5, 1.0])) == 2
+    assert len(TrainedPredictor.load(same).predict_curve([make_config()], [0.5, 1.0])[0]) == 2
 
 
 def test_checkpoint_loads_without_a_random_draw(tmp_path, monkeypatch):
@@ -945,7 +945,7 @@ def test_a_stage_takes_one_non_negative_warmup():
 def test_final_model_refuses_curve_queries():
     predictor = train(tiny_splits(), tiny_plan(), fixed_baseline(), arch=TINY)
     with pytest.raises(ValueError):
-        predictor.predict_curve(make_config(), [0.5, 1.0])
+        predictor.predict_curve([make_config()], [0.5, 1.0])
 
 
 def train_under_two_blas_thread_counts(records, folder, *args):
@@ -993,3 +993,48 @@ def test_checkpoints_do_not_depend_on_the_blas_thread_count(small_records, oracl
     one, two = train_under_two_blas_thread_counts(curves, tmp_path / "curve",
                                                   "--target", "curve")
     assert one == two
+
+
+def three_ways(predict, configs, seed=0):
+    """``predict`` over ``configs`` in one call, each config alone, and in
+    random batches of 1-49 configs, each as one array in config order."""
+    cuts = np.cumsum(np.random.default_rng(seed).integers(1, 50, size=len(configs)))
+    starts = [0, *cuts[cuts < len(configs)]]
+    return (predict(configs),
+            np.concatenate([predict([c]) for c in configs]),
+            np.concatenate([predict(configs[a:b]) for a, b in zip(starts, [*starts[1:], None])]))
+
+
+def test_a_prediction_does_not_depend_on_its_batch(small_records, oracle_params, small_design):
+    # the default architecture, whose trunk matmuls OpenBLAS rounds by row count
+    baseline = fixed_baseline()
+    splits = split_dataset(small_records, seed=0)
+    curve_records = generate_synthetic_runs(
+        oracle_params, dataclasses.replace(small_design, with_curves=True, curve_points=60),
+        seed=6)
+    plan = TrainPlan(stage1=StagePlan(epochs=1, peak_lr=6e-3, warmup_ratio=0.1),
+                     stage2=StagePlan(epochs=2, peak_lr=1.5e-3, warmup_steps=10),
+                     batch_size=64)
+    final = train(splits, plan, baseline)
+    curve = train(split_dataset(curve_records, seed=0), dataclasses.replace(plan, batch_size=480),
+                  baseline, target_kind="curve")
+    gbt = fit_gbt(splits, baseline, GBTParams(rounds=20, learning_rate=0.3))
+    configs = [r.config for r in small_records + curve_records]
+    assert len(configs) == 288
+    fracs = np.arange(1, 31) / 30
+
+    def curve_losses(cs):
+        return np.array([[loss for _, loss in c] for c in curve.predict_curve(cs, fracs)])
+
+    for what, predict in (("neural final", final.predict_final_loss_batch),
+                          ("neural curve, frac 1", curve.predict_final_loss_batch),
+                          ("neural curves", curve_losses),
+                          ("gbt", gbt.predict_final_loss_batch),
+                          ("chinchilla", baseline.predict_final_loss_batch)):
+        whole, alone, batches = three_ways(predict, configs)
+        assert whole.shape[0] == len(configs)
+        assert_same_bits(alone, whole, f"{what}: alone")
+        assert_same_bits(batches, whole, f"{what}: random batches")
+    # no config, no pass and no padding row
+    assert final.predict_final_loss_batch([]).shape == (0,)
+    assert curve.predict_curve([], fracs) == []

@@ -235,7 +235,7 @@ def test_oracle_predictor_wraps_the_closed_form(oracle_params):
     pred = OraclePredictor(oracle_params)
     config = make_config(peak_lr=2e-3)
     assert pred.predict_final_loss(config) == oracle_loss(oracle_params, config)
-    curve = pred.predict_curve(config, [0.5, 1.0])
+    curve = pred.predict_curve([config], [0.5, 1.0])[0]
     assert curve[0][0] == 3000 and curve[1][0] == 6000
     assert curve[1][1] == pytest.approx(oracle_loss(oracle_params, config), abs=1e-12)
 
