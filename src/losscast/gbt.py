@@ -31,8 +31,8 @@ from .errors import SchemaError
 from .features import design_column_names, encode_batch, one_hot_matrix
 from .ingest import DatasetSplits
 from .lawfit import ChinchillaPredictor
-from .regressor import build_training_rows, check_types, training_schema
-from .schema import RunConfig, Schema, read_saved
+from .regressor import build_training_rows, training_schema
+from .schema import RunConfig, Schema, check_types, read_saved
 
 
 @dataclass
@@ -42,8 +42,8 @@ class GBTParams:
     learning_rate: float = 0.05
     min_leaf: int = 5
 
-    def validate(self):
-        check_types(self)
+    def __post_init__(self):
+        check_types(self, ValueError)
         if self.rounds < 0:
             raise ValueError("rounds must be >= 0")
         if self.max_depth < 1:
@@ -298,7 +298,6 @@ def fit_gbt_arrays(x: np.ndarray, y: np.ndarray, params: GBTParams = GBTParams()
     """Boost on a prepared design matrix. Returns the forest and nothing else;
     training MSE per round is recoverable from predictions if needed. The split
     search sees only the varying columns, presorted once (module docstring)."""
-    params.validate()
     x = np.ascontiguousarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:

@@ -152,16 +152,18 @@ def _lookup(obj: dict, canonical: str):
 
 
 def _number(name: str, value) -> float:
-    """``value`` as a float; SchemaError naming the field when it is not a number."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise SchemaError(f"field '{name}' must be a number, got {value!r}") from None
+    """``value`` as a float; SchemaError naming the field when it is not a number or is a bool."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise SchemaError(f"field '{name}' must be a number, got {value!r}")
 
 
 def config_from_obj(obj: dict) -> RunConfig:
-    """A validated RunConfig from a log object; SchemaError naming the field
-    for a missing field or a value of the wrong type."""
+    """The RunConfig of a log object; SchemaError naming the field for a
+    missing field, a value of the wrong type or one the config refuses."""
     def num(name, default=None):
         v = _lookup(obj, name)
         return default if v is None else _number(name, v)
@@ -203,7 +205,7 @@ def config_from_obj(obj: dict) -> RunConfig:
     if not optimizer:
         raise SchemaError("missing required field 'optimizer'")
 
-    cfg = RunConfig(
+    return RunConfig(
         source=str(obj.get("source", "")),
         optimizer=str(optimizer),
         num_layers=num("num_layers", 0.0),
@@ -222,8 +224,6 @@ def config_from_obj(obj: dict) -> RunConfig:
         optimizer_extras=dict(extras or {}),
         **required,
     )
-    cfg.validate()
-    return cfg
 
 
 def _parse_curve(raw) -> tuple[np.ndarray, np.ndarray]:

@@ -64,7 +64,6 @@ import dataclasses
 import io
 import json
 import math
-import numbers
 import zipfile
 from dataclasses import dataclass, field
 
@@ -75,7 +74,7 @@ from .errors import TrainingError
 from .features import encode_batch
 from .ingest import DatasetSplits, RunRecord
 from .lawfit import ChinchillaPredictor
-from .schema import NUMERICAL, RunConfig, Schema, SchemaError, read_saved
+from .schema import NUMERICAL, RunConfig, Schema, SchemaError, check_types, read_saved
 
 CHECKPOINT_FORMAT = "losscast-checkpoint-2"
 MAX_CURVE_CHECKPOINTS = 30
@@ -158,22 +157,6 @@ class Arch:
     trunk_width: int = 256
 
 
-def check_types(plan) -> None:
-    """ValueError naming the first field of the dataclass ``plan`` whose value
-    has the wrong type: an ``int`` field takes an integer, a ``float`` field an
-    integer or a float, neither a bool, and a field that may be None also
-    takes None."""
-    for f in dataclasses.fields(plan):
-        kind, _, optional = f.type.partition(" | ")
-        value = getattr(plan, f.name)
-        if kind not in ("int", "float") or optional and value is None:
-            continue
-        want = numbers.Integral if kind == "int" else numbers.Real
-        if not isinstance(value, want) or isinstance(value, bool):
-            text = "an integer" if kind == "int" else "a number"
-            raise ValueError(f"{f.name} must be {text}, got {value!r}")
-
-
 @dataclass
 class StagePlan:
     epochs: int
@@ -181,8 +164,8 @@ class StagePlan:
     warmup_ratio: float | None = None
     warmup_steps: int | None = None
 
-    def validate(self):
-        check_types(self)
+    def __post_init__(self):
+        check_types(self, ValueError)
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if not self.peak_lr > 0:
@@ -230,10 +213,8 @@ class TrainPlan:
             batch_size=960,
         )
 
-    def validate(self):
-        check_types(self)
-        self.stage1.validate()
-        self.stage2.validate()
+    def __post_init__(self):
+        check_types(self, ValueError)
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
 
@@ -708,7 +689,6 @@ def train(
 ) -> "TrainedPredictor":
     """Two-stage training on residual targets; the baseline must be fit on
     splits.train only. ``target_kind`` "curve" trains on a frac schema."""
-    plan.validate()
     if target_kind not in ("final", "curve"):
         raise ValueError(f"unknown target_kind '{target_kind}'")
     schema = training_schema(splits, include_frac=(target_kind == "curve"))

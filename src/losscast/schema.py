@@ -17,6 +17,7 @@ cross-checking.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -50,6 +51,43 @@ KNOWN_EXTRAS = {
 
 _RELTOL_MINLR_RATIO = 1e-9
 
+#: the plain types that a field annotated ``int`` or ``float`` holds
+_PLAIN = {"int": frozenset({int}), "float": frozenset({int, float})}
+
+
+@functools.cache
+def _number_fields(cls) -> tuple:
+    """(name, kind, may be None) of each ``int`` or ``float`` field of the
+    dataclass ``cls``, a getter of their values, and each one's plain types."""
+    fields = []
+    for f in dataclasses.fields(cls):
+        kind, _, optional = f.type.partition(" | ")
+        if kind in _PLAIN:
+            fields.append((f.name, kind, optional == "None"))
+    get = operator.attrgetter(*(name for name, _, _ in fields))
+    plain = tuple(_PLAIN[kind] | {type(None)} if optional else _PLAIN[kind]
+                  for _, kind, optional in fields)
+    return fields, get, plain
+
+
+def check_types(obj, error) -> None:
+    """``error`` naming the first number field of the dataclass ``obj`` whose
+    value has the wrong type: an ``int`` field takes an integer, a ``float``
+    field an integer or a float, neither a bool, and a field that may be None
+    also takes None. A SchemaError names the field as a config field."""
+    fields, get, plain = _number_fields(type(obj))
+    # the common case, every value of a plain type, in one C-level scan
+    if all(map(operator.contains, plain, map(type, get(obj)))):
+        return
+    for name, kind, optional in fields:
+        value = getattr(obj, name)
+        want = numbers.Integral if kind == "int" else numbers.Real
+        if not (isinstance(value, want) and not isinstance(value, bool)
+                or optional and value is None):
+            text = "an integer" if kind == "int" else "a number"
+            label = f"field '{name}'" if issubclass(error, SchemaError) else name
+            raise error(f"{label} must be {text}, got {value!r}")
+
 
 @dataclass
 class RunConfig:
@@ -60,7 +98,8 @@ class RunConfig:
     step. ``epsilon`` holds the negative base-10 log of the optimizer's
     stability constant (1e-8 is stored as 8.0). ``warmup`` is either a step
     count or a ratio of ``total_steps`` depending on ``warmup_is_ratio``; both
-    normalize to a ratio internally.
+    normalize to a ratio internally. A config is checked when it is built,
+    ``dataclasses.replace`` included: SchemaError names the first bad field.
     """
 
     source: str
@@ -85,19 +124,12 @@ class RunConfig:
     epsilon: float | None = None
     optimizer_extras: dict = field(default_factory=dict)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not self.source:
             raise SchemaError("missing required field 'source'")
         if not self.optimizer:
             raise SchemaError("missing required field 'optimizer'")
-        # the common case, every number a plain int or float, in two C-level scans
-        if not (_PLAIN.issuperset(map(type, _required_numbers(self)))
-                and _PLAIN_OR_NONE.issuperset(map(type, _optional_numbers(self)))):
-            for name, optional in _NUMBER_FIELDS:
-                value = getattr(self, name)
-                if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
-                        or optional and value is None):
-                    raise SchemaError(f"field '{name}' must be a number, got {value!r}")
+        check_types(self, SchemaError)
         for name in ("model_size_n", "data_size_d", "total_steps"):
             if not getattr(self, name) > 0:
                 raise SchemaError(f"field '{name}' must be positive")
@@ -105,6 +137,8 @@ class RunConfig:
             raise SchemaError("field 'batch_size' must be >= 1")
         if not self.peak_lr > 0:
             raise SchemaError("field 'peak_lr' must be positive")
+        if self.min_lr is not None and self.min_lr > self.peak_lr:
+            raise SchemaError(f"field 'min_lr' exceeds peak_lr ({self.min_lr} > {self.peak_lr})")
         if (self.beta1 is None) != (self.beta2 is None):
             raise SchemaError("fields 'beta1'/'beta2' must be given together")
         if self.warmup < 0:
@@ -176,16 +210,6 @@ class RunConfig:
         if eps <= 0:
             raise SchemaError("raw epsilon must be positive")
         return -math.log10(eps)
-
-
-#: (name, may be None) of each RunConfig field that holds a number
-_NUMBER_FIELDS = tuple((f.name, f.type == "float | None")
-                       for f in dataclasses.fields(RunConfig)
-                       if f.type in ("float", "float | None"))
-_required_numbers = operator.attrgetter(*(n for n, optional in _NUMBER_FIELDS if not optional))
-_optional_numbers = operator.attrgetter(*(n for n, optional in _NUMBER_FIELDS if optional))
-_PLAIN = frozenset((int, float))
-_PLAIN_OR_NONE = _PLAIN | {type(None)}
 
 
 @dataclass(frozen=True)
@@ -297,7 +321,6 @@ class Schema:
         required exactly when the schema was built with ``include_frac``, and
         its raw ratio sits in the last slot.
         """
-        config.validate()
         self.check_frac(frac)
         values = self._field_values(config, frac)
         slots = []

@@ -3,10 +3,11 @@ quadratic refinement of the (learning rate, batch size) optimum in log space.
 
 The sweep enumerates a cross-product grid of candidate values, predicts the
 final loss for every valid derived configuration in one batch call, and sorts
-ascending. Only the points whose derived configuration does not validate are
-skipped, each with its reason; when none is left, the SweepError names the
-first. A predictor that refuses the batch refuses the sweep with its own error.
-Every grid axis and pinned field must name a ``RunConfig`` field.
+ascending. Only the points whose derived configuration ``RunConfig`` refuses
+when it is built are skipped, each with its reason; when none is left, the
+SweepError names the first. A predictor that refuses the batch refuses the
+sweep with its own error. Every grid axis and pinned field must name a
+``RunConfig`` field.
 
 The near-optimal points (within 1% of the minimum) then feed a least-squares
 quadratic in (log lr, log bs); if the quadratic is positive definite and its
@@ -105,22 +106,17 @@ class SweepResult:
 
 
 def _derive_config(base: RunConfig, assignment: dict) -> RunConfig:
-    cfg = dataclasses.replace(base, **assignment)
-    if "peak_lr" in assignment and cfg.min_lr is not None:
-        if cfg.min_lr_ratio is not None:
+    if "peak_lr" in assignment:
+        ratio = assignment.get("min_lr_ratio", base.min_lr_ratio)
+        if assignment.get("min_lr", base.min_lr) is not None and ratio is not None:
             # the ratio is the sweep-invariant form; recompute the absolute rate
-            cfg = dataclasses.replace(cfg, min_lr=cfg.min_lr_ratio * cfg.peak_lr)
-        elif cfg.min_lr > cfg.peak_lr:
-            raise SchemaError(
-                f"derived config has min_lr {cfg.min_lr} > peak_lr {cfg.peak_lr}"
-            )
-    cfg.validate()
-    return cfg
+            assignment = {**assignment, "min_lr": ratio * assignment["peak_lr"]}
+    return dataclasses.replace(base, **assignment)
 
 
 def sweep(predictor, grid: SweepGrid) -> SweepResult:
     """Exhaustively evaluate the grid in one batch prediction. Points whose
-    derived config does not validate are recorded in ``skipped`` and left out;
+    derived config is refused are recorded in ``skipped`` and left out;
     an error the predictor raises for the batch is raised unchanged."""
     derived, skipped = [], []
     for i, assignment in grid.points():

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ingest import RunRecord, config_to_obj, gc_paused, record_from_obj
-from .schema import RunConfig
+from .schema import RunConfig, check_types
 
 #: warmup-bump peak location, as a fraction of training
 BUMP_FRAC = 0.06
@@ -69,6 +69,7 @@ class OracleParams:
     curve_decay_p: float = 1.8
 
     def __post_init__(self):
+        check_types(self, ValueError)
         q = np.asarray(self.curvature, dtype=np.float64)
         if q.shape != (2, 2) or abs(q[0, 1] - q[1, 0]) > 1e-12:
             raise ValueError("curvature must be a symmetric 2x2 matrix")

@@ -274,9 +274,8 @@ def test_a_plan_stage_naming_one_warmup_field_drops_the_other():
     plan = _plan_from_overrides("final", {"stage1": {"warmup_steps": 3}})
     assert (plan.stage1.warmup_ratio, plan.stage1.warmup_steps) == (None, 3)
     assert plan.stage2 == TrainPlan.final_default().stage2
-    both = _plan_from_overrides("final", {"stage2": {"warmup_ratio": 0.5, "warmup_steps": 9}})
     with pytest.raises(ValueError, match="not both"):
-        both.validate()
+        _plan_from_overrides("final", {"stage2": {"warmup_ratio": 0.5, "warmup_steps": 9}})
 
 
 def test_train_refuses_a_negative_warmup(pipeline, tmp_path, capsys):
@@ -339,11 +338,11 @@ def test_sweep_fix_pins_a_field(pipeline, tmp_path):
 @pytest.mark.parametrize("argv, tag, cause", [
     (["--fix", "optimizer=zzz"], "schema",
      "unknown value 'zzz' for categorical field 'optimizer'\n"),
-    (["--n", "0"], "select", "field 'model_size_n' must be positive"),
+    (["--n", "0"], "schema", "field 'model_size_n' must be positive"),
     (["--fix", "nosuch=3"], "schema", "unknown config field 'nosuch'"),
-    (["--fix", "peak_lr=abc"], "select", "field 'peak_lr' must be a number, got 'abc'\n"),
-    (["--fix", "warmup=abc"], "select", "field 'warmup' must be a number, got 'abc'\n"),
-    (["--fix", "batch_size=true"], "select", "field 'batch_size' must be a number, got True\n"),
+    (["--fix", "peak_lr=abc"], "schema", "field 'peak_lr' must be a number, got 'abc'\n"),
+    (["--fix", "warmup=abc"], "schema", "field 'warmup' must be a number, got 'abc'\n"),
+    (["--fix", "batch_size=true"], "schema", "field 'batch_size' must be a number, got True\n"),
 ], ids=["unknown-category", "zero-n", "unknown-field", "string-lr", "string-warmup",
         "bool-batch-size"])
 def test_a_refused_sweep_names_its_cause(pipeline, tmp_path, capsys, argv, tag, cause):
@@ -934,8 +933,11 @@ def test_a_refused_config_line_is_located(tmp_path, capsys):
     ("optimizer_extras", [1, 2], "field 'optimizer_extras' must be a JSON object, got [1, 2]"),
     ("betas", [0.9], "field 'betas' must be a pair of numbers, got [0.9]"),
     ("betas", [0.9, "x"], "field 'beta2' must be a number, got 'x'"),
+    ("peak_lr", True, "field 'peak_lr' must be a number, got True"),
+    ("betas", [True, 0.95], "field 'beta1' must be a number, got True"),
+    ("min_lr", 5e-3, "field 'min_lr' exceeds peak_lr (0.005 > 0.001)"),
 ], ids=["unparsed-number", "list-for-a-number", "extras-not-an-object", "betas-not-a-pair",
-        "beta-not-a-number"])
+        "beta-not-a-number", "bool-lr", "bool-beta", "min-lr-above-peak-lr"])
 def test_a_config_value_of_the_wrong_type_is_named_with_its_line(tmp_path, capsys, field,
                                                                  value, fault):
     fits = tmp_path / "fits"
@@ -955,12 +957,15 @@ def test_a_config_value_of_the_wrong_type_is_named_with_its_line(tmp_path, capsy
 @pytest.mark.parametrize("flag, method, settings, key", [
     ("--oracle", None, {}, "'e'"),
     ("--oracle", None, {**OracleParams().to_dict(), "nope": 1}, "'nope'"),
+    ("--oracle", None, {**OracleParams().to_dict(), "noise_sigma": True},
+     "noise_sigma must be a number, got True"),
+    ("--oracle", None, {**OracleParams().to_dict(), "e": "abc"}, "e must be a number, got 'abc'"),
     ("--plan", "neural", {"nope": 1}, "'nope'"),
     ("--plan", "neural", {"stage1": {"epochs": 1, "nope": 1}}, "'nope' in stage1"),
     ("--plan", "neural", {"stage2": 5}, "stage2 must be a JSON object"),
     ("--plan", "gbt", {"rounds": 3, "nope": 1}, "'nope'"),
-], ids=["oracle-missing", "oracle-unknown", "plan-unknown", "plan-stage-unknown",
-        "plan-stage-not-an-object", "gbt-plan-unknown"])
+], ids=["oracle-missing", "oracle-unknown", "oracle-bool-value", "oracle-string-value",
+        "plan-unknown", "plan-stage-unknown", "plan-stage-not-an-object", "gbt-plan-unknown"])
 def test_a_settings_object_with_a_missing_or_unknown_key_is_refused(
         pipeline, tmp_path, capsys, flag, method, settings, key):
     path = tmp_path / "settings.json"

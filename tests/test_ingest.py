@@ -118,10 +118,12 @@ def test_parse_collects_malformed_lines(tmp_path):
     lines = [json.dumps(base_obj(run_id=f"r{i}")) for i in range(4)]
     lines.insert(2, "{not json")
     lines.insert(4, json.dumps({"optimizer": "adamw"}))  # missing fields
+    lines.append(json.dumps(base_obj(betas=[True, 0.95])))  # a boolean is not a number
     path.write_text("\n".join(lines) + "\n")
     result = parse_runs(path)
     assert len(result.records) == 4
-    assert [ln for ln, _ in result.malformed] == [3, 5]
+    assert [ln for ln, _ in result.malformed] == [3, 5, 7]
+    assert result.malformed[2][1] == "field 'beta1' must be a number, got True"
 
 
 def test_parse_rejects_mostly_malformed_files(tmp_path):

@@ -934,12 +934,11 @@ def test_checkpoint_loads_without_a_random_draw(tmp_path, monkeypatch):
 
 
 def test_a_stage_takes_one_non_negative_warmup():
-    StagePlan(epochs=1, peak_lr=1e-3, warmup_steps=0).validate()
-    StagePlan(epochs=1, peak_lr=1e-3, warmup_ratio=0.5).validate()
-    for stage in (StagePlan(epochs=1, peak_lr=1e-3, warmup_ratio=0.1, warmup_steps=5),
-                  StagePlan(epochs=1, peak_lr=1e-3, warmup_steps=-7)):
+    StagePlan(epochs=1, peak_lr=1e-3, warmup_steps=0)
+    StagePlan(epochs=1, peak_lr=1e-3, warmup_ratio=0.5)
+    for warmup in ({"warmup_ratio": 0.1, "warmup_steps": 5}, {"warmup_steps": -7}):
         with pytest.raises(ValueError, match="warmup"):
-            stage.validate()
+            StagePlan(epochs=1, peak_lr=1e-3, **warmup)
 
 
 def test_final_model_refuses_curve_queries():

@@ -2,12 +2,15 @@
 
 import dataclasses
 import json
+import re
 import zlib
 
 import numpy as np
 import pytest
 
 from losscast.features import encode_batch
+from losscast.gbt import GBTParams
+from losscast.regressor import StagePlan, TrainPlan
 from losscast.schema import (
     CATEGORICAL,
     N_EXTRA_SLOTS,
@@ -17,6 +20,7 @@ from losscast.schema import (
     Schema,
     SchemaError,
 )
+from losscast.synth import OracleParams
 from conftest import make_config
 
 # the published per-field encoding: (name, kind, scale factor)
@@ -203,15 +207,41 @@ def test_vocab_extension_preserves_known_prefix():
 
 def test_validation_rejects_bad_configs():
     with pytest.raises(SchemaError):
-        make_config(peak_lr=-1e-3).validate()
+        make_config(peak_lr=-1e-3)
     with pytest.raises(SchemaError):
-        make_config(batch_size=0.0).validate()
+        make_config(batch_size=0.0)
     with pytest.raises(SchemaError):
-        make_config(beta1=0.9, beta2=None).validate()
+        make_config(beta1=0.9, beta2=None)
     with pytest.raises(SchemaError):
-        make_config(warmup=1.5, warmup_is_ratio=True).validate()
+        make_config(warmup=1.5, warmup_is_ratio=True)
     with pytest.raises(SchemaError):
-        make_config(min_lr=5e-4, min_lr_ratio=0.9).validate()  # inconsistent pair
+        make_config(min_lr=5e-4, min_lr_ratio=0.9)  # inconsistent pair
+
+
+@pytest.mark.parametrize("good, bad, error, fault", [
+    (make_config(), {"peak_lr": -1e-3}, SchemaError, "field 'peak_lr' must be positive"),
+    (make_config(), {"min_lr": 2e-3, "min_lr_ratio": None}, SchemaError,
+     "field 'min_lr' exceeds peak_lr"),
+    (make_config(), {"batch_size": True}, SchemaError,
+     "field 'batch_size' must be a number, got True"),
+    (StagePlan(epochs=1, peak_lr=1e-3), {"epochs": -1}, ValueError, "epochs must be >= 0"),
+    (StagePlan(epochs=1, peak_lr=1e-3), {"warmup_steps": 2.5}, ValueError,
+     "warmup_steps must be an integer, got 2.5"),
+    (TrainPlan.final_default(), {"batch_size": 0}, ValueError, "batch_size must be >= 1"),
+    (GBTParams(), {"max_depth": 0}, ValueError, "max_depth must be >= 1"),
+    (GBTParams(), {"learning_rate": "0.1"}, ValueError,
+     "learning_rate must be a number, got '0.1'"),
+    (OracleParams(), {"noise_sigma": -0.1}, ValueError, "noise_sigma must be non-negative"),
+    (OracleParams(), {"noise_sigma": True}, ValueError,
+     "noise_sigma must be a number, got True"),
+], ids=["config-range", "config-min-lr", "config-type", "stage-range", "stage-type",
+        "plan-range", "gbt-range", "gbt-type", "oracle-range", "oracle-type"])
+def test_a_bad_value_is_refused_when_built_and_when_replaced(good, bad, error, fault):
+    fields = {f.name: getattr(good, f.name) for f in dataclasses.fields(good)}
+    with pytest.raises(error, match=re.escape(fault)):
+        type(good)(**{**fields, **bad})
+    with pytest.raises(error, match=re.escape(fault)):
+        dataclasses.replace(good, **bad)
 
 
 def test_warmup_ratio_resolution():

@@ -62,7 +62,7 @@ def test_sweep_ties_break_on_grid_index():
 
 def test_sweep_skips_invalid_points_and_records_them():
     grid = SweepGrid(
-        axes=[("peak_lr", [1e-3, -5.0, 2e-3])],  # the middle one cannot validate
+        axes=[("peak_lr", [1e-3, -5.0, 2e-3])],  # RunConfig refuses the middle one
         base_config=make_config(),
     )
     result = sweep(QuadraticPredictor(), grid)
@@ -218,7 +218,7 @@ class CountingPredictor(QuadraticPredictor):
 def test_sweep_predicts_each_grid_in_one_batch_call():
     pred = CountingPredictor()
     grid = SweepGrid(
-        axes=[("peak_lr", [1e-3, -5.0, 2e-3, 4e-3])],  # one point cannot validate
+        axes=[("peak_lr", [1e-3, -5.0, 2e-3, 4e-3])],  # RunConfig refuses one point
         base_config=make_config(),
     )
     result = sweep(pred, grid)
