@@ -458,10 +458,15 @@ class ChinchillaPredictor:
         return float(self.predict_final_loss_batch([config])[0])
 
     def predict_final_loss_batch(self, configs: list[RunConfig]) -> np.ndarray:
-        """One ``predict_chinchilla`` call per fit scope over its configs."""
+        """One ``predict_chinchilla`` call per fit scope over its configs; each
+        (source, optimizer) pair's fit is looked up once."""
+        fit_of: dict[tuple, ChinchillaFit] = {}
         groups: dict[int, tuple[ChinchillaFit, list[int]]] = {}
         for i, config in enumerate(configs):
-            fit = self.fit_for(config)
+            key = (config.source, config.optimizer)
+            fit = fit_of.get(key)
+            if fit is None:
+                fit = fit_of[key] = self.fit_for(config)
             groups.setdefault(id(fit), (fit, []))[1].append(i)
         out = np.empty(len(configs), dtype=np.float64)
         for fit, idx in groups.values():

@@ -26,6 +26,8 @@ import operator
 import zlib
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import SchemaError
 
 SCHEMA_VERSION = "1"
@@ -58,16 +60,18 @@ _PLAIN = {"int": frozenset({int}), "float": frozenset({int, float})}
 @functools.cache
 def _number_fields(cls) -> tuple:
     """(name, kind, may be None) of each ``int`` or ``float`` field of the
-    dataclass ``cls``, a getter of their values, and each one's plain types."""
-    fields = []
+    dataclass ``cls``, and for each set of plain types that some of those
+    fields take, the set and a getter of those fields' values."""
+    fields, groups = [], {}
     for f in dataclasses.fields(cls):
         kind, _, optional = f.type.partition(" | ")
         if kind in _PLAIN:
             fields.append((f.name, kind, optional == "None"))
-    get = operator.attrgetter(*(name for name, _, _ in fields))
-    plain = tuple(_PLAIN[kind] | {type(None)} if optional else _PLAIN[kind]
-                  for _, kind, optional in fields)
-    return fields, get, plain
+            plain = _PLAIN[kind] | {type(None)} if optional == "None" else _PLAIN[kind]
+            groups.setdefault(plain, []).append(f.name)
+    # the first name twice, so that a group of one field also gets a tuple
+    return fields, tuple((plain, operator.attrgetter(*names, names[0]))
+                         for plain, names in groups.items())
 
 
 def check_types(obj, error) -> None:
@@ -75,9 +79,12 @@ def check_types(obj, error) -> None:
     value has the wrong type: an ``int`` field takes an integer, a ``float``
     field an integer or a float, neither a bool, and a field that may be None
     also takes None. A SchemaError names the field as a config field."""
-    fields, get, plain = _number_fields(type(obj))
-    # the common case, every value of a plain type, in one C-level scan
-    if all(map(operator.contains, plain, map(type, get(obj)))):
+    fields, scans = _number_fields(type(obj))
+    # the common case, every value of a plain type: one C-level scan per group
+    for plain, get in scans:
+        if not plain.issuperset(map(type, get(obj))):
+            break
+    else:
         return
     for name, kind, optional in fields:
         value = getattr(obj, name)
@@ -139,6 +146,8 @@ class RunConfig:
             raise SchemaError("field 'peak_lr' must be positive")
         if self.min_lr is not None and self.min_lr > self.peak_lr:
             raise SchemaError(f"field 'min_lr' exceeds peak_lr ({self.min_lr} > {self.peak_lr})")
+        if self.min_lr_ratio is not None and not 0 <= self.min_lr_ratio <= 1:
+            raise SchemaError(f"field 'min_lr_ratio' must lie in [0, 1], got {self.min_lr_ratio}")
         if (self.beta1 is None) != (self.beta2 is None):
             raise SchemaError("fields 'beta1'/'beta2' must be given together")
         if self.warmup < 0:
@@ -314,67 +323,93 @@ class Schema:
     # -- encoding ----------------------------------------------------------
 
     def canonicalize(self, config: RunConfig, frac: float | None = None) -> tuple:
-        """Encode a configuration into its slots, one per field in schema order.
+        """Encode one configuration into its slots, one per field in schema
+        order: ``features.encode_batch`` called on that config alone.
 
         Numerical slots are scaled floats; categorical slots are vocabulary
         indices. ``frac`` (ratio of total training steps completed) is
         required exactly when the schema was built with ``include_frac``, and
         its raw ratio sits in the last slot.
         """
-        self.check_frac(frac)
-        values = self._field_values(config, frac)
-        slots = []
-        for s in self.specs:
-            v = values[s.name]
-            if s.kind == NUMERICAL:
-                slots.append(float(v) * s.scale_factor)
-            else:
-                try:
-                    slots.append(s.vocabulary.index(v))
-                except ValueError:
-                    raise SchemaError(
-                        f"unknown value '{v}' for categorical field '{s.name}'"
-                    ) from None
-        return tuple(slots)
+        from .features import encode_batch  # features builds on this module
 
-    def _field_values(self, config: RunConfig, frac: float | None) -> dict:
-        """Each field's value before encoding: a raw number for a numerical
-        field, the token for a categorical one. The one place a config's
-        tokens are decided, for ``canonicalize`` and ``with_vocab_from``."""
-        known, extra_pairs = self._split_extras(config)
-        values = {
-            "source": config.source,
-            "model_size_n": config.model_size_n,
-            "num_layers": config.num_layers,
-            "num_heads": config.num_heads,
-            "hidden_dim": config.hidden_dim,
-            "data_size_d": config.data_size_d,
-            "total_steps": config.total_steps,
-            "optimizer": config.optimizer,
-            "peak_lr": config.peak_lr,
-            "lr_schedule": config.lr_schedule or NONE_TOKEN,
-            "min_lr": config.resolved_min_lr(),
-            "min_lr_ratio": config.resolved_min_lr_ratio(),
-            "weight_decay": config.weight_decay,
-            "batch_size": config.batch_size,
-            "warmup_ratio": config.warmup_ratio,
-            "max_grad_norm": config.max_grad_norm,
-            "beta_pair": config.beta_token(),
-            "epsilon": config.epsilon_token(),
-            "muon_adam_lr": known.get("muon_adam_lr", 0.0),
-            "soap_block_size": known.get("soap_block_size", 0.0),
-            "kron_precond_lr": known.get("kron_precond_lr", NONE_TOKEN),
-            "frac": frac,
-        }
-        for i, (key_field, val_field) in enumerate(_EXTRA_FIELDS):
-            if i < len(extra_pairs):
-                key, val = extra_pairs[i]
-                values[key_field] = _hash_extra_key(key)
-                values[val_field] = float(val)
+        x_num, x_cat = encode_batch(self, [config], [frac])
+        num, cat = iter(x_num[0].tolist()), iter(x_cat[0].tolist())
+        return tuple(next(num if s.kind == NUMERICAL else cat) for s in self.specs)
+
+    def _field_values(self, config: RunConfig) -> tuple:
+        """Each field's value before encoding, in ``_ROW_INDEX`` order: a raw
+        number for a numerical field, the token for a categorical one. The one
+        place a config's tokens and raw values are decided, for
+        ``encode_batch`` and ``with_vocab_from``. The frac slot holds None,
+        since a config's rows may differ in frac."""
+        extras = self._extra_values(config) if config.optimizer_extras else _NO_EXTRAS
+        return (
+            config.source,
+            config.model_size_n,
+            config.num_layers,
+            config.num_heads,
+            config.hidden_dim,
+            config.data_size_d,
+            config.total_steps,
+            config.optimizer,
+            config.peak_lr,
+            config.lr_schedule or NONE_TOKEN,
+            config.resolved_min_lr(),
+            config.resolved_min_lr_ratio(),
+            config.weight_decay,
+            config.batch_size,
+            config.warmup_ratio,
+            config.max_grad_norm,
+            config.beta_token(),
+            config.epsilon_token(),
+            *extras,
+            None,
+        )
+
+    def _extra_values(self, config: RunConfig) -> tuple:
+        """The values of ``muon_adam_lr``, ``soap_block_size`` and
+        ``kron_precond_lr``, then one (hashed key, value) slot pair per unknown
+        extra in key order, padded with empty pairs."""
+        known: dict[str, object] = {}
+        slots: list = []
+        for key in sorted(config.optimizer_extras):
+            val = config.optimizer_extras[key]
+            if key in KNOWN_EXTRAS:
+                fname = KNOWN_EXTRAS[key][1]
+                if self.spec(fname).kind == CATEGORICAL:
+                    known[fname] = f"{val:g}" if not isinstance(val, str) else val
+                else:
+                    known[fname] = float(val)
             else:
-                values[key_field] = NONE_TOKEN
-                values[val_field] = 0.0
-        return values
+                slots += (_hash_extra_key(key), float(val))
+        if len(slots) > 2 * N_EXTRA_SLOTS:
+            raise SchemaError(
+                f"too many unknown optimizer extras ({len(slots) // 2} > {N_EXTRA_SLOTS})"
+            )
+        return (known.get("muon_adam_lr", 0.0), known.get("soap_block_size", 0.0),
+                known.get("kron_precond_lr", NONE_TOKEN), *slots,
+                *_NO_EXTRAS[3 + len(slots):])
+
+    @functools.cached_property
+    def _columns(self) -> tuple:
+        """How ``encode_batch`` reads ``_field_values`` rows: a getter of the
+        numerical values, their scale factors, the frac column's place among
+        them (None without one), and per categorical field a getter of its
+        token, its token -> index map and its name."""
+        num = [s for s in self.specs if s.kind == NUMERICAL]
+        cats = []
+        for s in self.specs:
+            if s.kind == CATEGORICAL:
+                index: dict[str, int] = {}
+                for i, token in enumerate(s.vocabulary):
+                    index.setdefault(token, i)
+                cats.append((operator.itemgetter(_ROW_INDEX[s.name]), index, s.name))
+        names = [s.name for s in num]
+        return (operator.itemgetter(*(_ROW_INDEX[name] for name in names)),
+                np.array([s.scale_factor for s in num], dtype=np.float64),
+                names.index("frac") if self.include_frac else None,
+                tuple(cats))
 
     def check_frac(self, frac: float | None) -> None:
         """Raise SchemaError unless ``frac`` is what this schema's frac slot takes."""
@@ -386,40 +421,17 @@ class Schema:
         elif frac is not None:
             raise SchemaError("schema does not carry a 'frac' field")
 
-    def _split_extras(self, config: RunConfig):
-        known: dict[str, object] = {}
-        unknown: list[tuple[str, float]] = []
-        for key in sorted(config.optimizer_extras):
-            val = config.optimizer_extras[key]
-            if key in KNOWN_EXTRAS:
-                fname = KNOWN_EXTRAS[key][1]
-                if self.spec(fname).kind == CATEGORICAL:
-                    known[fname] = f"{val:g}" if not isinstance(val, str) else val
-                else:
-                    known[fname] = float(val)
-            else:
-                unknown.append((key, float(val)))
-        if len(unknown) > N_EXTRA_SLOTS:
-            raise SchemaError(
-                f"too many unknown optimizer extras ({len(unknown)} > {N_EXTRA_SLOTS})"
-            )
-        return known, unknown
-
     # -- vocabulary management ----------------------------------------------
 
     def with_vocab_from(self, configs) -> "Schema":
         """New schema whose categorical vocabularies also cover every value
         observed in ``configs`` (new values appended in sorted order)."""
-        seen: dict[str, set[str]] = {s.name: set() for s in self.categorical_fields()}
-        for c in configs:
-            values = self._field_values(c, None)
-            for name, tokens in seen.items():
-                tokens.add(values[name])
-
+        rows = [self._field_values(c) for c in configs]
         specs = []
         for s in self.specs:
             if s.kind == CATEGORICAL:
-                new = sorted(v for v in seen[s.name] if v not in s.vocabulary)
+                pos = _ROW_INDEX[s.name]
+                new = sorted({row[pos] for row in rows}.difference(s.vocabulary))
                 if new:
                     s = dataclasses.replace(s, vocabulary=s.vocabulary + tuple(new))
             specs.append(s)
@@ -483,6 +495,13 @@ class Schema:
             if s.kind == CATEGORICAL and s.vocabulary[: len(cur.vocabulary)] != cur.vocabulary:
                 raise SchemaError(f"saved vocabulary for '{s.name}' conflicts with this build")
         return schema
+
+
+#: each field's place in a ``Schema._field_values`` row
+_ROW_INDEX = {s.name: i for i, s in enumerate(Schema.default(include_frac=True).specs)}
+
+#: the extra-field values of a config without optimizer extras
+_NO_EXTRAS = (0.0, 0.0, NONE_TOKEN) + (NONE_TOKEN, 0.0) * N_EXTRA_SLOTS
 
 
 def read_saved(text, keys, what: str) -> dict:

@@ -105,13 +105,24 @@ class SweepResult:
         return self.entries[0]
 
 
-def _derive_config(base: RunConfig, assignment: dict) -> RunConfig:
+def _fields(config: RunConfig) -> dict:
+    """A config's fields by name, the base that ``_derive_config`` builds on."""
+    return {name: getattr(config, name) for name in _CONFIG_FIELDS}
+
+
+def _derive_config(fields: dict, assignment: dict) -> RunConfig:
+    """The config of one grid point: the base config's ``fields`` with
+    ``assignment`` applied, checked as it is built."""
     if "peak_lr" in assignment:
-        ratio = assignment.get("min_lr_ratio", base.min_lr_ratio)
-        if assignment.get("min_lr", base.min_lr) is not None and ratio is not None:
-            # the ratio is the sweep-invariant form; recompute the absolute rate
-            assignment = {**assignment, "min_lr": ratio * assignment["peak_lr"]}
-    return dataclasses.replace(base, **assignment)
+        ratio = assignment.get("min_lr_ratio", fields["min_lr_ratio"])
+        if assignment.get("min_lr", fields["min_lr"]) is not None and ratio is not None:
+            # the ratio is the sweep-invariant form; recompute the absolute rate,
+            # unless a value is not a number, which the config names when built
+            try:
+                assignment = {**assignment, "min_lr": ratio * assignment["peak_lr"]}
+            except TypeError:
+                pass
+    return RunConfig(**{**fields, **assignment})
 
 
 def sweep(predictor, grid: SweepGrid) -> SweepResult:
@@ -119,9 +130,10 @@ def sweep(predictor, grid: SweepGrid) -> SweepResult:
     derived config is refused are recorded in ``skipped`` and left out;
     an error the predictor raises for the batch is raised unchanged."""
     derived, skipped = [], []
+    base = _fields(grid.base_config)
     for i, assignment in grid.points():
         try:
-            derived.append((i, _derive_config(grid.base_config, assignment)))
+            derived.append((i, _derive_config(base, assignment)))
         except (SchemaError, ValueError) as exc:
             skipped.append((i, str(exc)))
     if not derived:
@@ -265,7 +277,7 @@ def recommend(
     if not ref.fallback:
         try:
             cand = _derive_config(
-                best_cfg, {"peak_lr": ref.lr, "batch_size": ref.bs}
+                _fields(best_cfg), {"peak_lr": ref.lr, "batch_size": ref.bs}
             )
             cand_loss = float(predictor.predict_final_loss_batch([cand])[0])
             if cand_loss <= (1.0 + REFINE_SAFETY_FRAC) * best_loss:

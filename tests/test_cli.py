@@ -335,6 +335,35 @@ def test_sweep_fix_pins_a_field(pipeline, tmp_path):
     assert all(float(r[1]) == 128.0 for r in rows)
 
 
+def files_under(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file()}
+
+
+def test_back_to_back_commands_write_what_one_call_each_writes(pipeline, tmp_path):
+    model, base = str(pipeline["model"]), str(pipeline["base"])
+    sweep = ["sweep", "--model", model, "--base", base, "--lr-points", "5", "--bs-points", "3"]
+    calls = [
+        [*sweep, "--fix", "batch_size=128", "--fix", "weight_decay=0.3"],
+        ["predict", "--model", model, "--input", str(pipeline["splits"] / "id_val.jsonl")],
+        [*sweep, "--fix", "weight_decay=0.3"],
+        sweep,
+        ["eval", "--model", model, "--input", str(pipeline["splits"] / "ood_val.jsonl")],
+        [*sweep, "--fix", "batch_size=64"],
+    ]
+    runs = {}
+    for shared in (False, True):
+        out = tmp_path / "out"
+        for i, argv in enumerate(calls):
+            if not shared:
+                build_parser.cache_clear()
+            assert main([*argv, "--output", str(out / f"{i}.out")]) == 0
+        runs[shared] = files_under(out)
+        shutil.rmtree(out)
+    assert len(runs[True]) >= len(calls)
+    assert runs[True] == runs[False]
+
+
 @pytest.mark.parametrize("argv, tag, cause", [
     (["--fix", "optimizer=zzz"], "schema",
      "unknown value 'zzz' for categorical field 'optimizer'\n"),
@@ -936,8 +965,10 @@ def test_a_refused_config_line_is_located(tmp_path, capsys):
     ("peak_lr", True, "field 'peak_lr' must be a number, got True"),
     ("betas", [True, 0.95], "field 'beta1' must be a number, got True"),
     ("min_lr", 5e-3, "field 'min_lr' exceeds peak_lr (0.005 > 0.001)"),
+    ("min_lr_ratio", 2.0, "field 'min_lr_ratio' must lie in [0, 1], got 2.0"),
 ], ids=["unparsed-number", "list-for-a-number", "extras-not-an-object", "betas-not-a-pair",
-        "beta-not-a-number", "bool-lr", "bool-beta", "min-lr-above-peak-lr"])
+        "beta-not-a-number", "bool-lr", "bool-beta", "min-lr-above-peak-lr",
+        "min-lr-ratio-above-one"])
 def test_a_config_value_of_the_wrong_type_is_named_with_its_line(tmp_path, capsys, field,
                                                                  value, fault):
     fits = tmp_path / "fits"

@@ -1,6 +1,7 @@
 """Canonical feature table, scale factors, slots and their batch encoding."""
 
 import dataclasses
+import itertools
 import json
 import re
 import zlib
@@ -13,6 +14,7 @@ from losscast.gbt import GBTParams
 from losscast.regressor import StagePlan, TrainPlan
 from losscast.schema import (
     CATEGORICAL,
+    KNOWN_EXTRAS,
     N_EXTRA_SLOTS,
     NONE_TOKEN,
     NUMERICAL,
@@ -222,6 +224,8 @@ def test_validation_rejects_bad_configs():
     (make_config(), {"peak_lr": -1e-3}, SchemaError, "field 'peak_lr' must be positive"),
     (make_config(), {"min_lr": 2e-3, "min_lr_ratio": None}, SchemaError,
      "field 'min_lr' exceeds peak_lr"),
+    (make_config(), {"min_lr_ratio": 2.0}, SchemaError,
+     "field 'min_lr_ratio' must lie in [0, 1], got 2.0"),
     (make_config(), {"batch_size": True}, SchemaError,
      "field 'batch_size' must be a number, got True"),
     (StagePlan(epochs=1, peak_lr=1e-3), {"epochs": -1}, ValueError, "epochs must be >= 0"),
@@ -234,7 +238,8 @@ def test_validation_rejects_bad_configs():
     (OracleParams(), {"noise_sigma": -0.1}, ValueError, "noise_sigma must be non-negative"),
     (OracleParams(), {"noise_sigma": True}, ValueError,
      "noise_sigma must be a number, got True"),
-], ids=["config-range", "config-min-lr", "config-type", "stage-range", "stage-type",
+], ids=["config-range", "config-min-lr", "config-min-lr-ratio", "config-type",
+        "stage-range", "stage-type",
         "plan-range", "gbt-range", "gbt-type", "oracle-range", "oracle-type"])
 def test_a_bad_value_is_refused_when_built_and_when_replaced(good, bad, error, fault):
     fields = {f.name: getattr(good, f.name) for f in dataclasses.fields(good)}
@@ -252,14 +257,58 @@ def test_warmup_ratio_resolution():
 
 
 
+def reference_slots(schema, cfg, frac):
+    """Reference encoder, one config and one field at a time: each field's raw
+    value or token, then its scaled float or vocabulary index."""
+    schema.check_frac(frac)
+    known, unknown = {}, []
+    for key in sorted(cfg.optimizer_extras):
+        val = cfg.optimizer_extras[key]
+        if key not in KNOWN_EXTRAS:
+            unknown.append((f"h{zlib.crc32(key.encode()) % 63}", float(val)))
+        elif schema.spec(KNOWN_EXTRAS[key][1]).kind == CATEGORICAL:
+            known[KNOWN_EXTRAS[key][1]] = val if isinstance(val, str) else f"{val:g}"
+        else:
+            known[KNOWN_EXTRAS[key][1]] = float(val)
+    if len(unknown) > N_EXTRA_SLOTS:
+        raise SchemaError(f"too many unknown optimizer extras ({len(unknown)} > {N_EXTRA_SLOTS})")
+    unknown += [(NONE_TOKEN, 0.0)] * (N_EXTRA_SLOTS - len(unknown))
+    values = {
+        "source": cfg.source, "model_size_n": cfg.model_size_n, "num_layers": cfg.num_layers,
+        "num_heads": cfg.num_heads, "hidden_dim": cfg.hidden_dim,
+        "data_size_d": cfg.data_size_d, "total_steps": cfg.total_steps,
+        "optimizer": cfg.optimizer, "peak_lr": cfg.peak_lr,
+        "lr_schedule": cfg.lr_schedule or NONE_TOKEN, "min_lr": cfg.resolved_min_lr(),
+        "min_lr_ratio": cfg.resolved_min_lr_ratio(), "weight_decay": cfg.weight_decay,
+        "batch_size": cfg.batch_size, "warmup_ratio": cfg.warmup_ratio,
+        "max_grad_norm": cfg.max_grad_norm, "beta_pair": cfg.beta_token(),
+        "epsilon": cfg.epsilon_token(),
+        "muon_adam_lr": known.get("muon_adam_lr", 0.0),
+        "soap_block_size": known.get("soap_block_size", 0.0),
+        "kron_precond_lr": known.get("kron_precond_lr", NONE_TOKEN), "frac": frac,
+    }
+    for i, (key, val) in enumerate(unknown):
+        values[f"extra_key_{i}"], values[f"extra_val_{i}"] = key, val
+    slots = []
+    for spec in schema.specs:
+        v = values[spec.name]
+        if spec.kind == NUMERICAL:
+            slots.append(float(v) * spec.scale_factor)
+        elif v in spec.vocabulary:
+            slots.append(spec.vocabulary.index(v))
+        else:
+            raise SchemaError(f"unknown value '{v}' for categorical field '{spec.name}'")
+    return slots
+
+
 def per_row_encode(schema, configs, fracs):
-    """Reference encoder: canonicalize each row, then split its slots by kind."""
+    """Reference batch: each row's reference slots, split by kind."""
     num_idx = [i for i, s in enumerate(schema.specs) if s.kind == NUMERICAL]
     cat_idx = [i for i, s in enumerate(schema.specs) if s.kind == CATEGORICAL]
     x_num = np.empty((len(configs), len(num_idx)), dtype=np.float64)
     x_cat = np.empty((len(configs), len(cat_idx)), dtype=np.int64)
     for r, (cfg, frac) in enumerate(zip(configs, fracs)):
-        slots = schema.canonicalize(cfg, frac=frac)
+        slots = reference_slots(schema, cfg, frac)
         for j, i in enumerate(num_idx):
             x_num[r, j] = slots[i]
         for j, i in enumerate(cat_idx):
@@ -277,7 +326,21 @@ def mixed_configs():
         make_config(optimizer="mars", optimizer_extras={"gamma": 0.025, "vr_scale": 2.0}),
         make_config(min_lr=1e-4, min_lr_ratio=None, weight_decay=0.0),
         make_config(warmup=500.0, warmup_is_ratio=False, source="weblab"),
+        make_config(min_lr=2e-4, min_lr_ratio=0.2, batch_size=256),
+        make_config(optimizer="kron", optimizer_extras={
+            "precond_lr": 1, **{f"knob_{i}": i / 4 for i in range(N_EXTRA_SLOTS)}}),
     ]
+
+
+# configs the default schema refuses, each with its refusal
+REFUSED_CONFIGS = [
+    (make_config(optimizer="mars",
+                 optimizer_extras={f"knob_{i}": 1.0 for i in range(N_EXTRA_SLOTS + 1)}),
+     f"too many unknown optimizer extras ({N_EXTRA_SLOTS + 1} > {N_EXTRA_SLOTS})"),
+    (make_config(source="zzz"), "unknown value 'zzz' for categorical field 'source'"),
+    (make_config(optimizer="kron", optimizer_extras={"precond_lr": 0.3}),
+     "unknown value '0.3' for categorical field 'kron_precond_lr'"),
+]
 
 
 def test_vocab_extension_adds_exactly_the_tokens_canonicalize_needs():
@@ -305,7 +368,7 @@ def test_encode_batch_matches_the_per_row_encoder():
     n = len(configs)
     plain = Schema.default().with_vocab_from(configs)
     curve = Schema.default(include_frac=True).with_vocab_from(configs)
-    fracs = [0.01, 0.2, 0.5, 1.0, 1e-9, 0.75, 0.3]
+    fracs = [[0.01, 0.2, 0.5, 1.0, 1e-9, 0.75, 0.3][i % 7] for i in range(n)]
     for schema, given, want_fracs in [
         (plain, None, [None] * n),
         (curve, None, [1.0] * n),   # a final-loss query on a curve schema
@@ -318,6 +381,9 @@ def test_encode_batch_matches_the_per_row_encoder():
         assert x_num.tobytes() == ref_num.tobytes()
         np.testing.assert_array_equal(x_cat, ref_cat)
     assert encode_batch(curve, configs, fracs)[0][:, -1].tolist() == fracs
+    for cfg, frac in zip(configs, fracs):
+        assert list(plain.canonicalize(cfg)) == reference_slots(plain, cfg, None)
+        assert list(curve.canonicalize(cfg, frac)) == reference_slots(curve, cfg, frac)
 
     x_num, x_cat = encode_batch(plain, [])
     assert x_num.shape == (0, len(plain.numerical_fields()))
@@ -338,6 +404,21 @@ def test_encode_batch_checks_each_frac():
         encode_batch(curve, configs, [0.5])
 
 
+def test_encode_batch_refuses_what_the_per_row_encoder_refuses():
+    schema = Schema.default()
+    good = [make_config(), make_config(min_lr=2e-4, min_lr_ratio=0.2)]
+    for cfg, fault in REFUSED_CONFIGS:
+        with pytest.raises(SchemaError, match=f"^{re.escape(fault)}$"):
+            reference_slots(schema, cfg, None)
+        for batch in ([cfg], good + [cfg] + good, [cfg, cfg]):
+            with pytest.raises(SchemaError, match=f"^{re.escape(fault)}$"):
+                encode_batch(schema, batch)
+    # of two refused rows, the first is named, whichever of its fields is at fault
+    for (first, fault), (second, _) in itertools.permutations(REFUSED_CONFIGS, 2):
+        with pytest.raises(SchemaError, match=f"^{re.escape(fault)}$"):
+            encode_batch(schema, good + [first, second])
+
+
 def test_encode_batch_canonicalizes_each_config_object_once(monkeypatch):
     configs = mixed_configs()
     curve = Schema.default(include_frac=True).with_vocab_from(configs)
@@ -349,9 +430,9 @@ def test_encode_batch_canonicalizes_each_config_object_once(monkeypatch):
     ref_num, ref_cat = per_row_encode(curve, rows, fracs)
 
     calls = []
-    canonicalize = Schema.canonicalize
-    monkeypatch.setattr(Schema, "canonicalize",
-                        lambda self, c, frac=None: calls.append(c) or canonicalize(self, c, frac))
+    field_values = Schema._field_values
+    monkeypatch.setattr(Schema, "_field_values",
+                        lambda self, c: calls.append(c) or field_values(self, c))
     x_num, x_cat = encode_batch(curve, rows, fracs)
     assert len(calls) == len(configs) + 1
     assert x_num.tobytes() == ref_num.tobytes()

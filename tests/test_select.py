@@ -78,10 +78,13 @@ def test_sweep_all_invalid_raises():
 
 def test_swept_lr_keeps_min_lr_ratio_consistent():
     base = make_config(min_lr=1e-4, min_lr_ratio=0.1)
-    grid = SweepGrid(axes=[("peak_lr", [1e-3, 4e-3])], base_config=base)
+    # a point that is not a number is skipped by name, not multiplied
+    grid = SweepGrid(axes=[("peak_lr", [1e-3, "abc", 4e-3])], base_config=base)
     result = sweep(QuadraticPredictor(), grid)
+    assert len(result.entries) == 2
     for cfg, _, _ in result.entries:
         assert cfg.min_lr == pytest.approx(0.1 * cfg.peak_lr)
+    assert result.skipped == [(1, "field 'peak_lr' must be a number, got 'abc'")]
 
 
 # -- refinement --------------------------------------------------------------------
